@@ -161,6 +161,12 @@ def _cmd_fit(args):
         fit = exact_argmax(g, args.k, cfg)
     else:
         fit = greedy_argmax(g, args.k, cfg)
+    if not fit.converged:
+        print(
+            f"warning: the best restart was still moving nodes when it reached "
+            f"--max-sweeps {args.max_sweeps}; the labeling may not be a local optimum",
+            file=sys.stderr,
+        )
     sbmio.write_labeling(args.out, fit.labeling)
     record = {
         "objective": fit.objective,

@@ -11,6 +11,7 @@ import numpy as np
 from .divergences import neg_bernoulli_entropy
 from .errors import ParameterError
 from .graphs import (
+    Graph,
     Labeling,
     block_counters,
     confusion,
@@ -391,12 +392,11 @@ class VerificationReport:
 
 
 def _random_graph_labeling(rng, n, k, p_lo=0.1, p_hi=0.9):
+    # The draw stays dense (one uniform per ordered pair) so that checks keep
+    # their random streams; only the upper triangle becomes edges.
     p = rng.uniform(p_lo, p_hi)
-    adj = np.triu(rng.random((n, n)) < p, k=1)
-    adj = adj | adj.T
-    from .graphs import Graph
-
-    return Graph(n, adj), Labeling(rng.integers(0, k, size=n), k)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < p, k=1))
+    return Graph.from_edges(n, edges), Labeling(rng.integers(0, k, size=n), k)
 
 
 def _random_params(rng, k, rho=0.5):

@@ -25,50 +25,84 @@ def _freeze(arr, dtype=None):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph stored as a dense symmetric boolean adjacency.
+    """Undirected simple graph in compressed sparse row (CSR) form.
 
-    Node indices are 0-based everywhere in memory; file formats are 1-based.
+    The neighbours of node i are ``indices[indptr[i]:indptr[i + 1]]``, sorted
+    ascending; every edge is stored in both directions, so the arrays take
+    O(n + m) memory. Both arrays are int64 and read-only. Node indices are
+    0-based everywhere in memory; file formats are 1-based.
     """
 
     n: int
-    adj: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
-        adj = np.asarray(self.adj, dtype=bool)
-        if adj.shape != (self.n, self.n):
-            raise ValueError(f"adjacency shape {adj.shape} does not match n={self.n}")
-        if adj.diagonal().any():
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        if indptr.shape != (self.n + 1,) or indices.ndim != 1:
+            raise ValueError(f"indptr must have length n+1={self.n + 1}")
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or (degrees < 0).any() or indptr[-1] != indices.size:
+            raise ValueError("indptr must rise from 0 to the number of stored entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n):
+            raise ValueError(f"neighbour index out of range for n={self.n}")
+        src = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
+        if (src == indices).any():
             raise ValueError("self-loops are not allowed")
-        if not np.array_equal(adj, adj.T):
+        keys = src * self.n + indices
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("neighbours must be sorted and distinct within each row")
+        if not np.array_equal(np.sort(indices * self.n + src), keys):
             raise ValueError("adjacency must be symmetric")
-        object.__setattr__(self, "adj", _freeze(adj))
+        object.__setattr__(self, "indptr", _freeze(indptr))
+        object.__setattr__(self, "indices", _freeze(indices))
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a graph from an iterable of 0-based (i, j) pairs."""
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            adj[i, j] = True
-            adj[j, i] = True
-        return cls(n, adj)
+        """Build a graph from 0-based (i, j) pairs; repeated pairs are merged.
+
+        edges may be any iterable of pairs or an (m, 2) integer array.
+        """
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
+        i, j = pairs[:, 0], pairs[:, 1]
+        loops = np.flatnonzero(i == j)
+        if loops.size:
+            raise ValueError(f"self-loop ({i[loops[0]]}, {j[loops[0]]}) not allowed")
+        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+        if bad.size:
+            raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
+        keys = np.unique(np.concatenate([i * n + j, j * n + i]))
+        src, dst = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n, indptr, dst)
 
     @property
     def edge_count(self):
-        return int(self.adj.sum()) // 2
+        return int(self.indices.size) // 2
+
+    def degrees(self):
+        """Node degrees as a length-n integer vector."""
+        # Cheaper than np.diff on the tiny graphs exact search scores
+        # hundreds of labelings of.
+        return self.indptr[1:] - self.indptr[:-1]
 
     def edges(self):
         """Sorted list of 0-based (i, j) pairs with i < j."""
-        iu, ju = np.nonzero(np.triu(self.adj, k=1))
-        return list(zip(iu.tolist(), ju.tolist()))
+        src = np.repeat(np.arange(self.n), self.degrees())
+        upper = src < self.indices
+        return list(zip(src[upper].tolist(), self.indices[upper].tolist()))
 
     def neighbors(self, i):
-        return np.flatnonzero(self.adj[i])
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -197,10 +231,11 @@ def block_counters(g, z):
     sizes = z.sizes()
     pair_counts = np.outer(sizes, sizes)
     np.fill_diagonal(pair_counts, sizes * (sizes - 1))
-    member = np.zeros((g.n, z.k), dtype=np.int64)
-    member[np.arange(g.n), z.labels] = 1
-    edge_counts = member.T @ g.adj.astype(np.int64) @ member
-    return BlockCounters(sizes, pair_counts, edge_counts)
+    k = z.k
+    # One count per stored edge endpoint (i, j): both orientations of an edge.
+    src_labels = np.repeat(z.labels, g.degrees())
+    edge_counts = np.bincount(src_labels * k + z.labels[g.indices], minlength=k * k)
+    return BlockCounters(sizes, pair_counts, edge_counts.reshape(k, k))
 
 
 def confusion_counts(e, z):

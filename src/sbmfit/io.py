@@ -6,6 +6,7 @@ per line. Parameter file: flat ``key = value`` lines (see read_params).
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -36,6 +37,9 @@ def read_edge_list(path, header="auto"):
     treated as a header when reading it as an edge is impossible (a
     self-loop) or when its first field is an upper bound for every node
     index in the file. Ambiguous files should pass header explicitly.
+
+    A pair listed more than once, in either orientation, is kept as one
+    edge, and one UserWarning reports how many duplicates were merged.
     """
     rows = []
     with open(path) as fh:
@@ -61,8 +65,11 @@ def read_edge_list(path, header="auto"):
         n = max(max(i, j) for i, j in rows)
         k = 0
         edge_rows = rows
-    edges = [(i - 1, j - 1) for i, j in edge_rows]
-    return Graph.from_edges(n, edges), (k if k > 0 else None)
+    g = Graph.from_edges(n, np.asarray(edge_rows, dtype=np.int64) - 1)
+    duplicates = len(edge_rows) - g.edge_count
+    if duplicates:
+        warnings.warn(f"{path!r}: merged {duplicates} duplicate edges", stacklevel=2)
+    return g, (k if k > 0 else None)
 
 
 def write_labeling(path, z):

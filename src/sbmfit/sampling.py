@@ -13,6 +13,10 @@ from .graphs import Graph, Labeling, _freeze
 _P_MIN = 1e-12
 _P_MAX = 1.0 - 1e-12
 
+# Node pairs per draw from the edge stream (at least one whole row); bounds
+# the sampler's working memory independently of n^2.
+_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -100,13 +104,22 @@ def sample(params, n, seed):
     labels = np.searchsorted(cum, label_rng.random(n), side="right")
     labels = np.minimum(labels, params.k - 1).astype(np.int64)
 
+    # The upper triangle is drawn a block of whole rows at a time. Pair (i, j)
+    # still takes the next uniform in lexicographic order, so the graph is
+    # the one a single draw over all n(n-1)/2 pairs would give.
     p = params.p
-    iu, ju = np.triu_indices(n, k=1)
-    hit = edge_rng.random(iu.size) < p[labels[iu], labels[ju]]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu[hit], ju[hit]] = True
-    adj |= adj.T
-    return Labeling(labels, params.k), Graph(n, adj)
+    rows_per_block = max(1, _BLOCK_PAIRS // (n - 1))
+    src, dst = [], []
+    for i0 in range(0, n - 1, rows_per_block):
+        rows = np.arange(i0, min(i0 + rows_per_block, n - 1))
+        lengths = n - 1 - rows
+        ii = np.repeat(rows, lengths)
+        jj = np.arange(ii.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + ii + 1
+        hit = edge_rng.random(ii.size) < p[labels[ii], labels[jj]]
+        src.append(ii[hit])
+        dst.append(jj[hit])
+    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
+    return Labeling(labels, params.k), Graph.from_edges(n, edges)
 
 
 def expected_block_density(r, params, n):

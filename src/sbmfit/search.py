@@ -2,12 +2,13 @@
 
 Exhaustive enumeration at toy scale and best-improvement single-node
 relabeling with random restarts at experiment scale. The greedy search
-keeps integer block counters and evaluates move deltas through lookup
-tables, so one relabeling costs O(degree + k) counter work and O(k)
-objective terms.
+keeps integer block counters and the current objective term of every
+block pair, so one candidate relabeling costs O(degree + k) counter work
+and O(k) new objective terms. The x*log(x) and log-gamma values behind
+the terms are memoized per integer argument for the life of the process,
+so memory grows with the distinct counts a search visits, not with n^2.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +41,6 @@ class SearchConfig:
     restarts: int = 10
     max_sweeps: int = 50
     seed: int = 0
-    tie_break: str = "lexicographic"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -51,8 +51,6 @@ class SearchConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.tie_break != "lexicographic":
-            raise ValueError("only lexicographic tie-breaking is supported")
 
     def check_feasible(self, k):
         frac = Fraction(self.alpha).limit_denominator(10**12)
@@ -64,7 +62,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one search: canonical labeling plus bookkeeping."""
+    """Outcome of one search: canonical labeling plus bookkeeping.
+
+    converged is False when the winning greedy restart stopped at
+    max_sweeps while its last sweep still moved a node, so its labeling
+    need not be a local optimum. Exhaustive search always converges.
+    """
 
     labeling: Labeling
     objective_value: float
@@ -72,21 +75,61 @@ class FitResult:
     sweeps_used: int
     restart_index: int
     feasible: bool
+    converged: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _xlogx_table(size):
-    return xlogy(np.arange(size, dtype=float), np.arange(size, dtype=float)).tolist()
+# Memos of xlogy(x, x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
+# arguments searches have visited. They are shared by every fit in the
+# process, so a sweep fills them once; each value is the ufunc at float(x),
+# bit-identical to the same ufunc over an array.
+_XLOGX = {}
+_LGAMMA_HALF = {}
+_LGAMMA_INT = {}
 
 
-@functools.lru_cache(maxsize=8)
-def _lgamma_half_table(size):
-    return gammaln(np.arange(size, dtype=float) + 0.5).tolist()
+def _xlogx(x):
+    return xlogy(x, x)
 
 
-@functools.lru_cache(maxsize=8)
-def _lgamma_int_table(size):
-    return gammaln(np.arange(size, dtype=float) + 1.0).tolist()
+def _lgamma_half(x):
+    return gammaln(x + 0.5)
+
+
+def _lgamma_int(x):
+    return gammaln(x + 1.0)
+
+
+def _memo(table, fn, x):
+    value = table.get(x)
+    if value is None:
+        value = table[x] = float(fn(float(x)))
+    return value
+
+
+# The block terms subscript the memos directly: plain dict lookups keep the
+# interpreter's fast path, and a KeyError sends the first visit of an
+# argument through _memo, which gives the same sum.
+def _f_ml(o, m):
+    """Block term of the plug-in likelihood, m * tau(o / m); 0 for m = 0."""
+    if m <= 0:
+        return 0.0
+    t = _XLOGX
+    try:
+        return t[o] + t[m - o] - t[m]
+    except KeyError:
+        return _memo(t, _xlogx, o) + _memo(t, _xlogx, m - o) - _memo(t, _xlogx, m)
+
+
+def _f_icl(o, m):
+    """Block term of the integrated likelihood, log B(o+1/2, m-o+1/2) / B(1/2, 1/2)."""
+    if m <= 0:
+        return 0.0
+    gh, gi = _LGAMMA_HALF, _LGAMMA_INT
+    try:
+        return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
+    except KeyError:
+        return (_memo(gh, _lgamma_half, o) + _memo(gh, _lgamma_half, m - o)
+                - _memo(gi, _lgamma_int, m) - LOG_BETA_HALF)
 
 
 class _GreedyState:
@@ -94,7 +137,10 @@ class _GreedyState:
 
     The potential is the unnormalized objective: sum over ordered blocks of
     x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
-    terms for icl. Normalization does not affect the argmax.
+    terms for icl. Normalization does not affect the argmax. The current
+    term of every block pair is cached in F, so a move delta evaluates only
+    the terms of the blocks after the move; apply_move refreshes rows and
+    columns a and b of F.
     """
 
     def __init__(self, g, k, labels, objective):
@@ -102,44 +148,39 @@ class _GreedyState:
         self.n = g.n
         self.k = k
         self.objective = objective
+        self._indptr = g.indptr.tolist()
         self.z = np.asarray(labels, dtype=np.int64).copy()
         counters = block_counters(g, Labeling(self.z, k))
         self.sizes = counters.sizes.tolist()
         self.o = counters.edge_counts.tolist()
-        size = g.n * g.n + 1
-        if objective == "ml":
-            self._t = _xlogx_table(size)
-        else:
-            self._gh = _lgamma_half_table(size)
-            self._gi = _lgamma_int_table(size)
+        self._f = _f_ml if objective == "ml" else _f_icl
+        self.F = self.block_terms()
         self.potential = self.full_potential()
 
-    def _f_ml(self, o, m):
-        if m <= 0:
-            return 0.0
-        t = self._t
-        return t[o] + t[m - o] - t[m]
+    def _term(self, a, b):
+        s, o = self.sizes, self.o
+        if a != b:
+            return self._f(o[a][b], s[a] * s[b])
+        if self.objective == "ml":
+            return self._f(o[a][a], s[a] * (s[a] - 1))
+        return self._f(o[a][a] // 2, s[a] * (s[a] - 1) // 2)
 
-    def _f_icl(self, o, m):
-        if m <= 0:
-            return 0.0
-        return self._gh[o] + self._gh[m - o] - self._gi[m] - LOG_BETA_HALF
+    def block_terms(self):
+        """k x k block terms recomputed from the counters."""
+        return [[self._term(a, b) for b in range(self.k)] for a in range(self.k)]
 
     def full_potential(self):
-        s, o, k = self.sizes, self.o, self.k
+        """Potential recomputed from the counters, not from the cached F."""
+        t, k = self.block_terms(), self.k
         total = 0.0
         if self.objective == "ml":
-            f = self._f_ml
             for a in range(k):
                 for b in range(k):
-                    m = s[a] * (s[a] - 1) if a == b else s[a] * s[b]
-                    total += f(o[a][b], m)
+                    total += t[a][b]
         else:
-            f = self._f_icl
             for a in range(k):
-                total += f(o[a][a] // 2, s[a] * (s[a] - 1) // 2)
-                for b in range(a + 1, k):
-                    total += f(o[a][b], s[a] * s[b])
+                for b in range(a, k):
+                    total += t[a][b]
         return total
 
     def normalized_value(self):
@@ -148,51 +189,51 @@ class _GreedyState:
 
     def neighbor_counts(self, i):
         """Edges from node i into each community, as a plain list."""
-        nbrs = self.g.adj[i]
+        nbrs = self.g.indices[self._indptr[i]:self._indptr[i + 1]]
         return np.bincount(self.z[nbrs], minlength=self.k).tolist()
 
     def move_delta(self, a, b, d):
         """Potential change from relabeling one node from a to b."""
-        s, o = self.sizes, self.o
+        s, o, F = self.sizes, self.o, self.F
+        f = self._f
         sa, sb = s[a], s[b]
         sa1, sb1 = sa - 1, sb + 1
         da, db = d[a], d[b]
         oa, ob = o[a], o[b]
+        Fa, Fb = F[a], F[b]
         if self.objective == "ml":
-            f = self._f_ml
             delta = (
-                f(oa[a] - 2 * da, sa1 * (sa1 - 1)) - f(oa[a], sa * (sa - 1))
-                + f(ob[b] + 2 * db, sb1 * (sb1 - 1)) - f(ob[b], sb * (sb - 1))
-                + 2.0 * (f(oa[b] + da - db, sa1 * sb1) - f(oa[b], sa * sb))
+                f(oa[a] - 2 * da, sa1 * (sa1 - 1)) - Fa[a]
+                + f(ob[b] + 2 * db, sb1 * (sb1 - 1)) - Fb[b]
+                + 2.0 * (f(oa[b] + da - db, sa1 * sb1) - Fa[b])
             )
             for c in range(self.k):
                 if c == a or c == b:
                     continue
                 sc, dc = s[c], d[c]
                 delta += 2.0 * (
-                    f(oa[c] - dc, sa1 * sc) - f(oa[c], sa * sc)
-                    + f(ob[c] + dc, sb1 * sc) - f(ob[c], sb * sc)
+                    f(oa[c] - dc, sa1 * sc) - Fa[c]
+                    + f(ob[c] + dc, sb1 * sc) - Fb[c]
                 )
         else:
-            f = self._f_icl
             delta = (
-                f(oa[a] // 2 - da, sa1 * (sa1 - 1) // 2) - f(oa[a] // 2, sa * (sa - 1) // 2)
-                + f(ob[b] // 2 + db, sb1 * (sb1 - 1) // 2) - f(ob[b] // 2, sb * (sb - 1) // 2)
-                + f(oa[b] + da - db, sa1 * sb1) - f(oa[b], sa * sb)
+                f(oa[a] // 2 - da, sa1 * (sa1 - 1) // 2) - Fa[a]
+                + f(ob[b] // 2 + db, sb1 * (sb1 - 1) // 2) - Fb[b]
+                + f(oa[b] + da - db, sa1 * sb1) - Fa[b]
             )
             for c in range(self.k):
                 if c == a or c == b:
                     continue
                 sc, dc = s[c], d[c]
                 delta += (
-                    f(oa[c] - dc, sa1 * sc) - f(oa[c], sa * sc)
-                    + f(ob[c] + dc, sb1 * sc) - f(ob[c], sb * sc)
+                    f(oa[c] - dc, sa1 * sc) - Fa[c]
+                    + f(ob[c] + dc, sb1 * sc) - Fb[c]
                 )
         return delta
 
     def apply_move(self, i, b, d, delta):
         a = int(self.z[i])
-        o = self.o
+        o, F = self.o, self.F
         for c in range(self.k):
             dc = d[c]
             if dc:
@@ -204,6 +245,9 @@ class _GreedyState:
         self.sizes[b] += 1
         self.z[i] = b
         self.potential += delta
+        for r in (a, b):
+            for c in range(self.k):
+                F[r][c] = F[c][r] = self._term(r, c)
 
 
 def _random_feasible_labels(rng, n, k, min_size):
@@ -219,7 +263,7 @@ def _random_feasible_labels(rng, n, k, min_size):
     return labels
 
 
-def _finalize(g, labels, k, cfg, sweeps, restart_index):
+def _finalize(g, labels, k, cfg, sweeps, restart_index, converged):
     lab = Labeling(labels, k).canonical()
     counters = block_counters(g, lab)
     if cfg.objective == "ml":
@@ -233,6 +277,7 @@ def _finalize(g, labels, k, cfg, sweeps, restart_index):
         sweeps_used=sweeps,
         restart_index=restart_index,
         feasible=meets_min_size(lab, cfg.alpha),
+        converged=converged,
     )
 
 
@@ -281,9 +326,9 @@ def greedy_argmax(g, k, cfg):
                 break
         value = state.full_potential()
         if best is None or value > best[0]:
-            best = (value, state.z.copy(), sweeps, restart)
-    _, labels, sweeps, restart = best
-    return _finalize(g, labels, k, cfg, sweeps, restart)
+            best = (value, state.z.copy(), sweeps, restart, not improved)
+    _, labels, sweeps, restart, converged = best
+    return _finalize(g, labels, k, cfg, sweeps, restart, converged)
 
 
 def _canonical_labelings(n, k):
@@ -334,4 +379,4 @@ def exact_argmax(g, k, cfg):
         raise InfeasibleError(
             f"no labeling of {g.n} nodes into {k} communities meets alpha={cfg.alpha}"
         )
-    return _finalize(g, best_labels, k, cfg, 0, 0)
+    return _finalize(g, best_labels, k, cfg, 0, 0, True)

@@ -5,8 +5,8 @@ from sbmfit import Graph, Labeling, SbmParams
 
 
 def random_graph(rng, n, p=0.5):
-    adj = np.triu(rng.random((n, n)) < p, k=1)
-    return Graph(n, adj | adj.T)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < p, k=1))
+    return Graph.from_edges(n, edges)
 
 
 def random_labeling(rng, n, k):

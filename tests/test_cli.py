@@ -115,3 +115,20 @@ def test_fit_headerless_edge_list(tmp_path):
                "--restarts", "3", "--out", str(tmp_path / "e.txt")])
     assert rc == 0
     assert len(open(tmp_path / "e.txt").read().split()) == 8
+
+
+def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):
+    g_path = str(tmp_path / "g.txt")
+    main(["sample", "--params", params_file, "--n", "80", "--seed", "4",
+          "--out-graph", g_path, "--out-labels", str(tmp_path / "z.txt")])
+    capsys.readouterr()
+    rc = main(["fit", g_path, "--k", "2", "--max-sweeps", "1", "--restarts", "3",
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 0
+    assert "warning:" in capsys.readouterr().err
+    from sbmfit import SearchConfig, greedy_argmax
+    from sbmfit.io import read_edge_list
+
+    g, _ = read_edge_list(g_path)
+    fit = greedy_argmax(g, 2, SearchConfig(restarts=3, max_sweeps=1))
+    assert not fit.converged

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmfit import (
     Graph,
@@ -21,10 +22,9 @@ from conftest import random_graph, random_labeling
 def brute_force_counters(g, z):
     k = z.k
     o = np.zeros((k, k), dtype=np.int64)
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j and g.adj[i, j]:
-                o[z.labels[i], z.labels[j]] += 1
+    for i, j in g.edges():
+        o[z.labels[i], z.labels[j]] += 1
+        o[z.labels[j], z.labels[i]] += 1
     return o
 
 
@@ -42,25 +42,51 @@ class TestGraph:
             Graph.from_edges(3, [(0, 0)])
 
     def test_rejects_asymmetric(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = True
-        with pytest.raises(ValueError):
-            Graph(3, adj)
+        # Edge 0 -> 1 stored without 1 -> 0.
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(3, [0, 1, 1, 1], [1])
 
     def test_immutable(self, rng):
         g = random_graph(rng, 6)
         with pytest.raises(ValueError):
-            g.adj[0, 1] = True
+            g.indices[0] = 1
+        with pytest.raises(ValueError):
+            g.indptr[1] = 0
 
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1)])
         assert g.edges() == [(0, 1), (2, 3)]
         assert g.edge_count == 2
 
+    def test_csr_layout(self):
+        g = Graph.from_edges(4, [(3, 0), (0, 1), (1, 0)])
+        assert g.indptr.tolist() == [0, 2, 3, 3, 4]
+        assert g.indices.tolist() == [1, 3, 0, 0]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.neighbors(0).tolist() == [1, 3]
+        assert g.degrees().tolist() == [2, 1, 0, 1]
+
+    def test_rejects_malformed_csr(self):
+        for indptr, indices in (
+            ([0, 1, 2], [1]),           # indptr does not end at the entry count
+            ([0, 2, 1, 2], [1, 0]),     # indptr decreases
+            ([0, 1, 1], [2]),           # neighbour out of range
+            ([0, 1, 2], [0, 1]),        # self-loops
+            ([0, 2, 3, 4], [2, 1, 0, 0]),  # row 0 unsorted
+        ):
+            with pytest.raises(ValueError):
+                Graph(len(indptr) - 1, indptr, indices)
+
+    def test_from_edges_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match="pairs"):
+            Graph.from_edges(4, np.zeros((2, 3), dtype=np.int64))
+
 
 class TestBlockCounters:
     def test_empty_graph(self, rng):
-        g = Graph(5, np.zeros((5, 5), dtype=bool))
+        g = Graph.from_edges(5, [])
         z = random_labeling(rng, 5, 3)
         assert block_counters(g, z).edge_counts.sum() == 0
 
@@ -84,6 +110,28 @@ class TestBlockCounters:
             np.fill_diagonal(expected_pairs, sizes * (sizes - 1))
             assert np.array_equal(c.pair_counts, expected_pairs)
             assert c.edge_counts.sum() == 2 * g.edge_count
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_dense_formula(self, data):
+        # The dense route the edge-list counters replaced: M^T A M with the
+        # one-hot membership matrix M, on arbitrary (repeated, reversed) pairs.
+        n = data.draw(st.integers(2, 25))
+        k = data.draw(st.integers(1, 4))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        pairs = data.draw(st.lists(pair, max_size=60))
+        g = Graph.from_edges(n, pairs)
+        z = Labeling(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k)
+        adj = np.zeros((n, n), dtype=np.int64)
+        for i, j in pairs:
+            adj[i, j] = adj[j, i] = 1
+        member = np.zeros((n, k), dtype=np.int64)
+        member[np.arange(n), z.labels] = 1
+        want = member.T @ adj @ member
+        c = block_counters(g, z)
+        assert np.array_equal(c.edge_counts, want)
+        assert np.array_equal(c.edge_counts, brute_force_counters(g, z))
 
     def test_tilde_accessors_halve_diagonal(self, rng):
         g = random_graph(rng, 10)

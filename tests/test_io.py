@@ -25,7 +25,8 @@ class TestEdgeList:
         write_edge_list(path, g, k=3)
         g2, k = read_edge_list(path)
         assert k == 3
-        assert np.array_equal(g.adj, g2.adj)
+        assert g2.n == g.n
+        assert g2.edges() == g.edges()
 
     def test_one_based_in_files(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -53,6 +54,21 @@ class TestEdgeList:
         path.write_text("4 2\n")
         g, k = read_edge_list(path)
         assert g.n == 4 and g.edge_count == 0
+
+    def test_duplicates_merged_with_one_warning(self, tmp_path):
+        path = tmp_path / "dups.txt"
+        path.write_text("1 2\n2 1\n1 2\n")
+        with pytest.warns(UserWarning, match="merged 2 duplicate edges") as record:
+            g, k = read_edge_list(path)
+        assert len(record) == 1 and "dups.txt" in str(record[0].message)
+        assert g.n == 2 and g.edge_count == 1 and k is None
+
+    def test_rejects_self_loop_and_node_zero(self, tmp_path):
+        path = tmp_path / "g.txt"
+        for text in ("3 0\n1 2\n2 2\n", "3 0\n0 1\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_edge_list(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmfit import (
     DegenerateBlockError,
@@ -13,6 +14,9 @@ from sbmfit import (
     sample,
 )
 from sbmfit.experiments import pair_count_matrix
+
+from sbmfit import sampling
+from sbmfit.experiments import balanced_params
 
 from conftest import random_labeling, random_params
 
@@ -47,13 +51,13 @@ class TestSample:
         z1, g1 = sample(params, 40, seed=9)
         z2, g2 = sample(params, 40, seed=9)
         assert np.array_equal(z1.labels, z2.labels)
-        assert np.array_equal(g1.adj, g2.adj)
+        assert g1.edges() == g2.edges()
 
     def test_different_seeds_differ(self):
         params = two_block_params()
         _, g1 = sample(params, 40, seed=1)
         _, g2 = sample(params, 40, seed=2)
-        assert not np.array_equal(g1.adj, g2.adj)
+        assert g1.edges() != g2.edges()
 
     def test_near_zero_probability_gives_empty_graph(self):
         params = SbmParams(k=1, pi=np.array([1.0]), s=np.array([[1.0]]), rho=1e-9)
@@ -176,11 +180,9 @@ def _resample_edges(params, z, seed):
     p = params.p
     iu, ju = np.triu_indices(n, k=1)
     hit = rng.random(iu.size) < p[z.labels[iu], z.labels[ju]]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu[hit], ju[hit]] = True
     from sbmfit import Graph
 
-    return z, Graph(n, adj | adj.T)
+    return z, Graph.from_edges(n, np.column_stack([iu[hit], ju[hit]]))
 
 
 class TestDeriveSeed:
@@ -188,3 +190,46 @@ class TestDeriveSeed:
         assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
         seen = {derive_seed(5, i) for i in range(100)}
         assert len(seen) == 100
+
+
+def reference_sample(params, n, seed):
+    """The single-call sampler the row-block sampler replaced, kept as its oracle.
+
+    Returns the labels and the sorted (i, j), i < j, edge list.
+    """
+    label_ss, edge_ss = np.random.SeedSequence(int(seed)).spawn(2)
+    label_rng = np.random.Generator(np.random.PCG64(label_ss))
+    edge_rng = np.random.Generator(np.random.PCG64(edge_ss))
+    cum = np.cumsum(params.pi)
+    labels = np.searchsorted(cum, label_rng.random(n), side="right")
+    labels = np.minimum(labels, params.k - 1).astype(np.int64)
+    iu, ju = np.triu_indices(n, k=1)
+    hit = edge_rng.random(iu.size) < params.p[labels[iu], labels[ju]]
+    return labels, list(zip(iu[hit].tolist(), ju[hit].tolist()))
+
+
+class TestRowBlockSampler:
+    def check(self, params, n, seed):
+        z, g = sample(params, n, seed)
+        labels, edges = reference_sample(params, n, seed)
+        assert np.array_equal(z.labels, labels)
+        assert g.edges() == edges
+
+    def test_matches_reference_across_blocks(self):
+        # n = 1201 gives 1200-pair rows and 54 rows per block, so the last
+        # block is partial; n = 70 fits in one block.
+        for k, n, seed in ((2, 1201, 3), (3, 600, 8), (2, 70, 1), (1, 2, 5)):
+            self.check(balanced_params(k, 9.0, 1.0, min(0.1, 9.0 / n)), n, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), k=st.integers(1, 3), seed=st.integers(0, 2**32),
+           block_pairs=st.integers(1, 120))
+    def test_matches_reference_for_any_block_size(self, n, k, seed, block_pairs):
+        # Block sizes below one row's length put each row in its own block.
+        params = random_params(np.random.default_rng(seed), k, rho=0.5)
+        saved = sampling._BLOCK_PAIRS
+        sampling._BLOCK_PAIRS = block_pairs
+        try:
+            self.check(params, n, seed)
+        finally:
+            sampling._BLOCK_PAIRS = saved

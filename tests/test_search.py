@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, xlogy
 
 from sbmfit import (
     Graph,
@@ -16,6 +20,7 @@ from sbmfit import (
 from sbmfit.experiments import balanced_params
 from sbmfit.modularity import icl_from_counters, ml_from_counters
 from sbmfit.graphs import block_counters
+from sbmfit import search
 from sbmfit.search import _GreedyState
 
 from conftest import random_graph, random_labeling
@@ -37,7 +42,7 @@ class TestExact:
         assert fit.objective_value == 0.0
 
     def test_complete_graph_lexicographic_tie(self):
-        g = Graph(4, ~np.eye(4, dtype=bool))
+        g = Graph.from_edges(4, itertools.combinations(range(4), 2))
         cfg = SearchConfig(objective="ml", alpha=0.25, restarts=1, seed=0)
         fit = exact_argmax(g, 2, cfg)
         assert fit.objective_value == 0.0
@@ -63,7 +68,7 @@ class TestExact:
         assert exact_hits >= 90
 
     def test_guard(self):
-        g = Graph(40, np.zeros((40, 40), dtype=bool))
+        g = Graph.from_edges(40, [])
         cfg = SearchConfig(objective="ml", alpha=0.1, restarts=1, seed=0)
         with pytest.raises(SearchSpaceError):
             exact_argmax(g, 3, cfg)
@@ -74,7 +79,7 @@ class TestExact:
             SearchConfig(objective="ml", alpha=0.6, restarts=1, seed=0).check_feasible(2)
         cfg = SearchConfig(objective="ml", alpha=0.45, restarts=1, seed=0)
         with pytest.raises(InfeasibleError):
-            exact_argmax(Graph(5, np.zeros((5, 5), dtype=bool)), 2, cfg)
+            exact_argmax(Graph.from_edges(5, []), 2, cfg)
 
     def test_objective_value_matches_reevaluation(self, rng):
         g = random_graph(rng, 9)
@@ -182,3 +187,59 @@ class TestGreedy:
                 ex = exact_argmax(g, 2, cfg)
                 gr = greedy_argmax(g, 2, cfg)
                 assert ex.objective_value >= gr.objective_value - 1e-12
+
+
+class TestTermMemos:
+    def test_bit_identical_to_vectorized_ufuncs(self, rng):
+        args = np.unique(np.concatenate([
+            np.arange(3000), rng.integers(0, 9 * 10**6, size=3000), np.arange(1, 3001) ** 2,
+        ]))
+        x = args.astype(float)
+        for table, fn, want in (
+            (search._XLOGX, search._xlogx, xlogy(x, x)),
+            (search._LGAMMA_HALF, search._lgamma_half, gammaln(x + 0.5)),
+            (search._LGAMMA_INT, search._lgamma_int, gammaln(x + 1.0)),
+        ):
+            got = np.array([search._memo(table, fn, a) for a in args.tolist()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_block_terms_fill_on_first_visit(self):
+        # Arguments no other test reaches: the KeyError path must give the
+        # value the filled memo gives on the next call.
+        o, m = 7 * 10**9 + 3, 9 * 10**9 + 11
+        first_ml, first_icl = search._f_ml(o, m), search._f_icl(o, m)
+        assert search._f_ml(o, m) == first_ml
+        assert search._f_icl(o, m) == first_icl
+        assert first_ml == xlogy(o, o) + xlogy(m - o, m - o) - xlogy(m, m)
+
+
+class TestCachedBlockTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(4, 30), k=st.integers(2, 4),
+           objective=st.sampled_from(["ml", "icl"]))
+    def test_match_recompute_after_random_moves(self, seed, n, k, objective):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
+        state = _GreedyState(g, k, rng.integers(0, k, size=n), objective)
+        scale = 2.0 * n * n if objective == "ml" else float(n * n)
+        for _ in range(3 * n):
+            i, b = int(rng.integers(n)), int(rng.integers(k))
+            a = int(state.z[i])
+            if b == a:
+                continue
+            d = state.neighbor_counts(i)
+            state.apply_move(i, b, d, state.move_delta(a, b, d))
+            fresh = _GreedyState(g, k, state.z, objective)
+            assert state.o == fresh.o and state.sizes == fresh.sizes
+            assert state.F == fresh.F == state.block_terms()
+            assert abs(state.potential - fresh.full_potential()) / scale < 1e-9
+
+
+class TestConverged:
+    def test_flag(self):
+        _, g = sample(balanced_params(2, 9.0, 1.0, 0.1), 80, seed=4)
+        stopped = greedy_argmax(g, 2, SearchConfig(restarts=2, max_sweeps=1, seed=0))
+        assert not stopped.converged and stopped.sweeps_used == 1
+        assert greedy_argmax(g, 2, SearchConfig(restarts=2, seed=0)).converged
+        exact = exact_argmax(two_cliques(), 2, SearchConfig(alpha=0.25, restarts=1))
+        assert exact.converged

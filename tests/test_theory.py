@@ -239,7 +239,7 @@ class TestEdgeCountDeviation:
     def test_empty_graph_single_relabel_analytic(self, rng):
         params = random_params(rng, 2, rho=0.3)
         n = 10
-        g = Graph(n, np.zeros((n, n), dtype=bool))
+        g = Graph.from_edges(n, [])
         z = Labeling([0] * 5 + [1] * 5, 2)
         e_labels = z.labels.copy()
         e_labels[0] = 1
