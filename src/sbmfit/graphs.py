@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # Permutations are enumerated exhaustively up to this k; beyond it the
 # label-matching problem is solved as an assignment problem instead.
@@ -289,6 +288,10 @@ def misclassification(e, z):
             if agree > best:
                 best = agree
     else:
+        # Imported here: scipy.optimize costs about 0.3 s at start-up, and
+        # only this branch needs it.
+        from scipy.optimize import linear_sum_assignment
+
         row, col = linear_sum_assignment(counts, maximize=True)
         best = int(counts[row, col].sum())
     return n - best

@@ -2,11 +2,13 @@
 
 Exhaustive enumeration at toy scale and best-improvement single-node
 relabeling with random restarts at experiment scale. The greedy search
-keeps integer block counters and the current objective term of every
-block pair, so one candidate relabeling costs O(degree + k) counter work
-and O(k) new objective terms. The x*log(x) and log-gamma values behind
-the terms are memoized per integer argument for the life of the process,
-so memory grows with the distinct counts a search visits, not with n^2.
+keeps integer block counters, the current objective term of every block
+pair and, per node, the count of its neighbours in each community. One
+candidate relabeling costs O(k) work and O(k) new objective terms; an
+accepted move costs O(degree + k) to update the tables. The x*log(x) and
+log-gamma values behind the terms are memoized per integer argument for
+the life of the process, so memory grows with the distinct counts a
+search visits, not with n^2.
 """
 
 from dataclasses import dataclass
@@ -139,8 +141,11 @@ class _GreedyState:
     x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
     terms for icl. Normalization does not affect the argmax. The current
     term of every block pair is cached in F, so a move delta evaluates only
-    the terms of the blocks after the move; apply_move refreshes rows and
-    columns a and b of F.
+    the terms of the blocks after the move. The labels z are a plain list,
+    and table[i][c] counts the neighbours of node i in community c, an
+    n x k list of lists built once from the edge endpoints. apply_move
+    refreshes rows and columns a and b of F and the table rows of the
+    moved node's neighbours.
     """
 
     def __init__(self, g, k, labels, objective):
@@ -149,11 +154,18 @@ class _GreedyState:
         self.k = k
         self.objective = objective
         self._indptr = g.indptr.tolist()
-        self.z = np.asarray(labels, dtype=np.int64).copy()
-        counters = block_counters(g, Labeling(self.z, k))
+        z = np.asarray(labels, dtype=np.int64)
+        counters = block_counters(g, Labeling(z, k))
+        self.z = z.tolist()
         self.sizes = counters.sizes.tolist()
         self.o = counters.edge_counts.tolist()
+        src = np.repeat(np.arange(self.n, dtype=np.int64), g.degrees())
+        self.table = np.bincount(src * k + z[g.indices],
+                                 minlength=self.n * k).reshape(self.n, k).tolist()
         self._f = _f_ml if objective == "ml" else _f_icl
+        # The third communities c of a move a -> b, in ascending order.
+        self._others = [[[c for c in range(k) if c != a and c != b] for b in range(k)]
+                        for a in range(k)]
         self.F = self.block_terms()
         self.potential = self.full_potential()
 
@@ -188,9 +200,12 @@ class _GreedyState:
         return self.potential / scale
 
     def neighbor_counts(self, i):
-        """Edges from node i into each community, as a plain list."""
-        nbrs = self.g.indices[self._indptr[i]:self._indptr[i + 1]]
-        return np.bincount(self.z[nbrs], minlength=self.k).tolist()
+        """Edges from node i into each community, as the live table row.
+
+        Callers must not mutate it. It stays valid across apply_move of
+        node i itself, which changes only the rows of i's neighbours.
+        """
+        return self.table[i]
 
     def move_delta(self, a, b, d):
         """Potential change from relabeling one node from a to b."""
@@ -201,15 +216,14 @@ class _GreedyState:
         da, db = d[a], d[b]
         oa, ob = o[a], o[b]
         Fa, Fb = F[a], F[b]
+        others = self._others[a][b]
         if self.objective == "ml":
             delta = (
                 f(oa[a] - 2 * da, sa1 * (sa1 - 1)) - Fa[a]
                 + f(ob[b] + 2 * db, sb1 * (sb1 - 1)) - Fb[b]
                 + 2.0 * (f(oa[b] + da - db, sa1 * sb1) - Fa[b])
             )
-            for c in range(self.k):
-                if c == a or c == b:
-                    continue
+            for c in others:
                 sc, dc = s[c], d[c]
                 delta += 2.0 * (
                     f(oa[c] - dc, sa1 * sc) - Fa[c]
@@ -221,9 +235,7 @@ class _GreedyState:
                 + f(ob[b] // 2 + db, sb1 * (sb1 - 1) // 2) - Fb[b]
                 + f(oa[b] + da - db, sa1 * sb1) - Fa[b]
             )
-            for c in range(self.k):
-                if c == a or c == b:
-                    continue
+            for c in others:
                 sc, dc = s[c], d[c]
                 delta += (
                     f(oa[c] - dc, sa1 * sc) - Fa[c]
@@ -232,7 +244,7 @@ class _GreedyState:
         return delta
 
     def apply_move(self, i, b, d, delta):
-        a = int(self.z[i])
+        a = self.z[i]
         o, F = self.o, self.F
         for c in range(self.k):
             dc = d[c]
@@ -248,6 +260,11 @@ class _GreedyState:
         for r in (a, b):
             for c in range(self.k):
                 F[r][c] = F[c][r] = self._term(r, c)
+        table, indptr = self.table, self._indptr
+        for j in self.g.indices[indptr[i]:indptr[i + 1]].tolist():
+            row = table[j]
+            row[a] -= 1
+            row[b] += 1
 
 
 def _random_feasible_labels(rng, n, k, min_size):
@@ -301,25 +318,28 @@ def greedy_argmax(g, k, cfg):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, restart)))
         labels = _random_feasible_labels(rng, g.n, k, min_size)
         state = _GreedyState(g, k, labels, cfg.objective)
+        # Plain-list views of the state: a visit touches no numpy scalar.
+        z, sizes, table = state.z, state.sizes, state.table
+        move_delta, apply_move = state.move_delta, state.apply_move
         sweeps = 0
         while sweeps < cfg.max_sweeps:
             improved = False
-            for i in rng.permutation(g.n):
-                a = int(state.z[i])
-                if state.sizes[a] - 1 < min_size:
+            for i in rng.permutation(g.n).tolist():
+                a = z[i]
+                if sizes[a] - 1 < min_size:
                     continue
-                d = state.neighbor_counts(i)
+                d = table[i]
                 best_delta = _MOVE_EPS
                 best_b = -1
                 for b in range(k):
                     if b == a:
                         continue
-                    delta = state.move_delta(a, b, d)
+                    delta = move_delta(a, b, d)
                     if delta > best_delta:
                         best_delta = delta
                         best_b = b
                 if best_b >= 0:
-                    state.apply_move(int(i), best_b, d, best_delta)
+                    apply_move(i, best_b, d, best_delta)
                     improved = True
             sweeps += 1
             if not improved:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sbmfit
 from sbmfit.cli import main
 
 
@@ -132,3 +138,15 @@ def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):
     g, _ = read_edge_list(g_path)
     fit = greedy_argmax(g, 2, SearchConfig(restarts=3, max_sweeps=1))
     assert not fit.converged
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about 0.3 s per command; only misclassification
+    # at k > 8 needs it, and it imports it there.
+    src = str(Path(sbmfit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, sbmfit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

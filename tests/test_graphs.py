@@ -14,6 +14,7 @@ from sbmfit import (
     meets_min_size,
     misclassification,
 )
+from sbmfit import graphs
 from sbmfit.graphs import confusion_counts, min_feasible_size
 
 from conftest import random_graph, random_labeling
@@ -214,6 +215,36 @@ class TestMisclassification:
             counts = confusion_counts(e, z)
             row, col = linear_sum_assignment(counts, maximize=True)
             assert misclassification(e, z) == 20 - counts[row, col].sum()
+
+    def test_assignment_route_planted_permutation_with_flips(self, rng):
+        k = 10
+        assert k > graphs._PERMUTATION_LIMIT
+        truth = np.repeat(np.arange(k), 20)
+        sigma = rng.permutation(k)
+        pred = sigma[truth]
+        # One node flipped in each of seven communities: sigma stays the
+        # best matching, so exactly the flips are misclassified.
+        flipped = [20 * c + 3 for c in range(7)]
+        for i in flipped:
+            pred[i] = (pred[i] + 1) % k
+        e, z = Labeling(truth, k), Labeling(pred, k)
+        assert misclassification(e, z) == len(flipped)
+        assert misclassification(z, e) == len(flipped)
+        assert misclassification(e, Labeling(sigma[truth], k)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 30), k=st.integers(2, 5))
+    def test_assignment_route_matches_permutations(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        e, z = random_labeling(rng, n, k), random_labeling(rng, n, k)
+        exhaustive = misclassification(e, z)
+        limit = graphs._PERMUTATION_LIMIT
+        graphs._PERMUTATION_LIMIT = 1
+        try:
+            assigned = misclassification(e, z)
+        finally:
+            graphs._PERMUTATION_LIMIT = limit
+        assert assigned == exhaustive == brute_force_misclassification(e, z)
 
     def test_zero_iff_permutation(self, rng):
         for _ in range(50):

@@ -24,6 +24,7 @@ from sbmfit import search
 from sbmfit.search import _GreedyState
 
 from conftest import random_graph, random_labeling
+from reference_greedy import reference_greedy_argmax
 
 
 def two_cliques(size=4):
@@ -233,6 +234,48 @@ class TestCachedBlockTerms:
             assert state.o == fresh.o and state.sizes == fresh.sizes
             assert state.F == fresh.F == state.block_terms()
             assert abs(state.potential - fresh.full_potential()) / scale < 1e-9
+            z = np.asarray(state.z)
+            for j in range(n):
+                assert state.table[j] == np.bincount(z[g.neighbors(j)], minlength=k).tolist()
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.labeling.labels, want.labeling.labels)
+    assert got.labeling.k == want.labeling.k
+    assert (np.float64(got.objective_value).view(np.int64)
+            == np.float64(want.objective_value).view(np.int64))
+    assert (got.objective, got.sweeps_used, got.restart_index, got.feasible, got.converged) == (
+        want.objective, want.sweeps_used, want.restart_index, want.feasible, want.converged)
+
+
+class TestReferenceOracle:
+    """The maintained-table loop against the per-visit bincount loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(4, 40), k=st.sampled_from([2, 3, 4]),
+           objective=st.sampled_from(["ml", "icl"]),
+           slack=st.sampled_from([0.3, 0.9, 0.97, 1.0]),
+           max_sweeps=st.sampled_from([1, 2, 60]), restarts=st.integers(1, 4))
+    def test_fit_equals_reference(self, seed, n, k, objective, slack, max_sweeps, restarts):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
+        # slack = 1 puts alpha at the feasibility limit 1/k: the size floor
+        # then blocks most moves, or leaves no feasible labeling at all.
+        cfg = SearchConfig(objective=objective, alpha=slack / k, restarts=restarts,
+                           max_sweeps=max_sweeps, seed=int(rng.integers(2**31)))
+        try:
+            want = reference_greedy_argmax(g, k, cfg)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                greedy_argmax(g, k, cfg)
+            return
+        assert_same_fit(greedy_argmax(g, k, cfg), want)
+
+    @pytest.mark.parametrize("k,objective", [(2, "ml"), (3, "icl"), (3, "ml")])
+    def test_sampled_sbm_equals_reference(self, k, objective):
+        _, g = sample(balanced_params(k, 12.0, 2.0, 0.05), 240, seed=7)
+        cfg = SearchConfig(objective=objective, restarts=3, seed=5)
+        assert_same_fit(greedy_argmax(g, k, cfg), reference_greedy_argmax(g, k, cfg))
 
 
 class TestConverged:
