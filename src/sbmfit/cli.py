@@ -2,7 +2,8 @@
 
 Subcommands: sample, fit, eval, constant, sweep-separation, sweep-sparsity,
 concentration, verify. Exit codes: 0 success, 1 property failure, 2 usage
-error.
+error: a bad argument or input file, raised as an SbmfitError or OSError.
+Any other exception is a bug and propagates with its traceback.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import json
 import sys
 
 from . import io as sbmio
-from .errors import SbmfitError
+from .errors import ParameterError, SbmfitError
 from .experiments import (
     concentration_experiment,
     objective_agreement_notes,
@@ -32,6 +33,17 @@ PROPERTY_FAILURE = 1
 
 def _float_list(text):
     return [float(v) for v in text.replace(",", " ").split()]
+
+
+def _separation(text):
+    value = float(text)
+    if value < 0:
+        raise ValueError(f"separation must be nonnegative, got {value}")
+    return value
+
+
+def _separation_list(text):
+    return [_separation(v) for v in text.replace(",", " ").split()]
 
 
 def _int_list(text):
@@ -91,7 +103,7 @@ def _build_parser():
     p = sub.add_parser("sweep-separation", help="NMI against community separation")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seps", type=_float_list, required=True)
+    p.add_argument("--seps", type=_separation_list, required=True)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -107,7 +119,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--rhos", type=_float_list, required=True)
-    p.add_argument("--separation", type=float, default=2.10)
+    p.add_argument("--separation", type=_separation, default=2.10)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -134,13 +146,16 @@ def _build_parser():
 
 
 def _search_config(args):
-    return SearchConfig(
-        objective=getattr(args, "objective", "ml"),
-        alpha=args.alpha,
-        restarts=args.restarts,
-        max_sweeps=args.max_sweeps,
-        seed=args.seed,
-    )
+    try:
+        return SearchConfig(
+            objective=getattr(args, "objective", "ml"),
+            alpha=args.alpha,
+            restarts=args.restarts,
+            max_sweeps=args.max_sweeps,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 def _cmd_sample(args):
@@ -192,6 +207,8 @@ def _cmd_fit(args):
 def _cmd_eval(args):
     z = sbmio.read_labeling(args.true_labels)
     e = sbmio.read_labeling(args.pred_labels)
+    if z.n != e.n:
+        raise ParameterError(f"labeling files differ in length: {z.n} vs {e.n} nodes")
     k = max(z.k, e.k)
     from .graphs import Labeling
 
@@ -320,7 +337,10 @@ _COMMANDS = {
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    defaults = _load_config_defaults(argv)
+    try:
+        defaults = _load_config_defaults(argv)
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
     if defaults:
         for group_action in parser._subparsers._group_actions:
             for sub in group_action.choices.values():
@@ -332,7 +352,10 @@ def main(argv=None):
                     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
                         coerced[action.dest] = raw.lower() in ("1", "true", "yes")
                     elif action.type is not None:
-                        coerced[action.dest] = action.type(raw)
+                        try:
+                            coerced[action.dest] = action.type(raw)
+                        except ValueError as exc:
+                            parser.error(f"--config {action.dest} = {raw!r}: {exc}")
                     else:
                         coerced[action.dest] = raw
                     action.required = False
@@ -341,10 +364,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SbmfitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (SbmfitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

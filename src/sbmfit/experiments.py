@@ -115,7 +115,7 @@ def _fit_row(g, z_true, params, cfg, objective, replicate_seed, separation, keep
 
 def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=None):
     if k < 2:
-        raise ValueError("sweeps need at least two communities")
+        raise ParameterError("sweeps need at least two communities")
     keep_dir = None
     if keep_labelings is not None:
         from pathlib import Path
@@ -296,6 +296,8 @@ def concentration_experiment(params, n, reps, delta, base_seed=0):
     Also verifies that the centered edge-count deviation of the true
     labeling against itself is exactly zero.
     """
+    if reps < 1:
+        raise ParameterError(f"reps must be >= 1, got {reps}")
     radius = math.sqrt(delta * params.rho * math.log(n)) / n
     violations = 0
     worst = 0.0

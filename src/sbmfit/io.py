@@ -47,12 +47,13 @@ def read_edge_list(path, header="auto"):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed line in {path!r}: {line!r}")
-            rows.append((int(parts[0]), int(parts[1])))
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
+            rows.append((i, j))
     if not rows:
-        raise ValueError(f"empty edge list file {path!r}")
+        raise ParameterError(f"empty edge list file {path!r}")
 
     if header == "auto":
         first = rows[0]
@@ -65,7 +66,10 @@ def read_edge_list(path, header="auto"):
         n = max(max(i, j) for i, j in rows)
         k = 0
         edge_rows = rows
-    g = Graph.from_edges(n, np.asarray(edge_rows, dtype=np.int64) - 1)
+    try:
+        g = Graph.from_edges(n, np.asarray(edge_rows, dtype=np.int64) - 1)
+    except ValueError as exc:
+        raise ParameterError(f"invalid graph in {path!r}: {exc}") from exc
     duplicates = len(edge_rows) - g.edge_count
     if duplicates:
         warnings.warn(f"{path!r}: merged {duplicates} duplicate edges", stacklevel=2)
@@ -86,13 +90,19 @@ def read_labeling(path, k=None):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            labels.append(int(line) - 1)
+            try:
+                labels.append(int(line) - 1)
+            except ValueError:
+                raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
     if not labels:
-        raise ValueError(f"empty labeling file {path!r}")
+        raise ParameterError(f"empty labeling file {path!r}")
     arr = np.asarray(labels, dtype=np.int64)
     if k is None:
         k = int(arr.max()) + 1
-    return Labeling(arr, k)
+    try:
+        return Labeling(arr, k)
+    except ValueError as exc:
+        raise ParameterError(f"invalid labeling in {path!r}: {exc}") from exc
 
 
 def resolve_rho(mode, n, c=1.0, rho=None):
@@ -112,6 +122,17 @@ def resolve_rho(mode, n, c=1.0, rho=None):
     raise ParameterError(f"unknown rho mode {mode!r}; expected one of {RHO_MODES}")
 
 
+def _number(convert, key, text):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParameterError(f"parameter {key} must be a number, got {text!r}") from None
+
+
+def _numbers(key, text):
+    return [_number(float, key, v) for v in text.replace(",", " ").split()]
+
+
 def read_rates(path):
     """Read just (k, pi, S) from a parameter file, ignoring sparsity keys."""
     entries = {}
@@ -127,22 +148,27 @@ def read_rates(path):
             key = key.strip()
             value = value.strip()
             if key == "S":
-                s_rows.append([float(v) for v in value.replace(",", " ").split()])
+                s_rows.append(_numbers("S", value))
             else:
                 entries[key] = value
 
     if "k" not in entries:
         raise ParameterError("parameter file must set k")
-    k = int(entries["k"])
+    k = _number(int, "k", entries["k"])
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if "pi" in entries:
-        pi = np.array([float(v) for v in entries["pi"].replace(",", " ").split()])
+        pi = np.array(_numbers("pi", entries["pi"]))
+        if pi.size != k:
+            raise ParameterError(f"pi must have k={k} entries, got {pi.size}")
     else:
         pi = np.full(k, 1.0 / k)
     if not s_rows:
         raise ParameterError("parameter file must contain k rows of S")
+    if len(s_rows) != k or any(len(row) != k for row in s_rows):
+        shape = [len(row) for row in s_rows]
+        raise ParameterError(f"expected {k} rows of S with {k} entries, got row lengths {shape}")
     s = np.array(s_rows, dtype=float)
-    if s.shape != (k, k):
-        raise ParameterError(f"expected {k} rows of S with {k} entries, got shape {s.shape}")
     return k, pi, s, entries
 
 
@@ -157,8 +183,8 @@ def read_params(path, n=None):
 
     k, pi, s, entries = read_rates(path)
     mode = entries.get("rho_mode", "const")
-    c = float(entries.get("c", 1.0))
-    rho = float(entries["rho"]) if "rho" in entries else None
+    c = _number(float, "c", entries.get("c", "1.0"))
+    rho = _number(float, "rho", entries["rho"]) if "rho" in entries else None
     if mode != "const" and n is None:
         raise ParameterError(f"rho_mode={mode} requires a network size to resolve rho")
     rho_value = resolve_rho(mode, n, c=c, rho=rho)

@@ -4,6 +4,8 @@ Mean with a +/- one standard error bar per grid point, one polyline per
 objective. Output bytes are deterministic for deterministic input.
 """
 
+from .errors import ParameterError
+
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN = 56
 _COLORS = {"ml": "#1f77b4", "icl": "#d62728"}
@@ -22,7 +24,7 @@ def _fmt(x):
 def sweep_plot_svg(summary, x_label, y_label="mean NMI", title=""):
     """Render summary rows (SummaryRow objects) into an SVG string."""
     if not summary:
-        raise ValueError("nothing to plot")
+        raise ParameterError("nothing to plot")
     xs = sorted({row.grid for row in summary})
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, 1.0

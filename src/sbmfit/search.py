@@ -1,14 +1,21 @@
 """Maximizers of the two objectives over the constrained label space.
 
-Exhaustive enumeration at toy scale and best-improvement single-node
-relabeling with random restarts at experiment scale. The greedy search
-keeps integer block counters, the current objective term of every block
-pair and, per node, the count of its neighbours in each community. One
-candidate relabeling costs O(k) work and O(k) new objective terms; an
-accepted move costs O(degree + k) to update the tables. The x*log(x) and
-log-gamma values behind the terms are memoized per integer argument for
-the life of the process, so memory grows with the distinct counts a
-search visits, not with n^2.
+Both searches run on one move kernel, _GreedyState: integer block
+counters, the current objective term of every block pair and, per node,
+the count of its neighbours in each community. One candidate relabeling
+costs O(k) work and O(k) new objective terms; an applied move costs
+O(degree + k) to update the tables. The x*log(x) and log-gamma values
+behind the terms are memoized per integer argument for the life of the
+process, so memory grows with the distinct counts a search visits, not
+with n^2.
+
+Greedy search is best-improvement single-node relabeling with random
+restarts, for experiment scale. Exact search, for toy scale, walks the
+canonical labelings depth first with apply/undo moves on one state, so a
+labeling costs about two moves instead of a full recount. It sums each
+leaf's cached block terms and re-scores only the leaves that come near
+the best so far with the vectorized objective of sbmfit.modularity, whose
+values alone decide the winner.
 """
 
 from dataclasses import dataclass
@@ -17,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import InfeasibleError, SearchSpaceError
+from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, block_counters, meets_min_size, min_feasible_size
 from .modularity import (
     LOG_BETA_HALF,
@@ -32,6 +39,13 @@ _EXACT_GUARD = 2 * 10**7
 # staying far below any real single-node objective change.
 _MOVE_EPS = 1e-10
 _INIT_ATTEMPTS = 1000
+# Exact search re-scores a leaf whose cached-term potential is within this
+# relative distance of the best one, or above it. A leaf that beats the best
+# vectorized value has at least the best potential in exact arithmetic; the
+# two sums round differently by about 1e-16 of the largest block term. A
+# nonzero potential is at least log(2) in size, so the window is far wider
+# than the rounding; no potential exceeds zero, since every block term is <= 0.
+_RESCORE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,8 @@ class SearchConfig:
             raise ValueError("max_sweeps must be >= 1")
 
     def check_feasible(self, k):
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         frac = Fraction(self.alpha).limit_denominator(10**12)
         if frac * k > 1:
             raise InfeasibleError(
@@ -155,19 +171,23 @@ class _GreedyState:
         self.objective = objective
         self._indptr = g.indptr.tolist()
         z = np.asarray(labels, dtype=np.int64)
-        counters = block_counters(g, Labeling(z, k))
-        self.z = z.tolist()
-        self.sizes = counters.sizes.tolist()
-        self.o = counters.edge_counts.tolist()
+        if z.shape != (self.n,) or z.min() < 0 or z.max() >= k:
+            raise ValueError(f"labels must be {self.n} values in [0, {k})")
         src = np.repeat(np.arange(self.n, dtype=np.int64), g.degrees())
-        self.table = np.bincount(src * k + z[g.indices],
-                                 minlength=self.n * k).reshape(self.n, k).tolist()
+        table = np.bincount(src * k + z[g.indices], minlength=self.n * k).reshape(self.n, k)
+        # o[a][b] sums the table rows of the nodes labelled a.
+        o = np.zeros((k, k), dtype=np.int64)
+        np.add.at(o, z, table)
+        self.z = z.tolist()
+        self.sizes = np.bincount(z, minlength=k).tolist()
+        self.o = o.tolist()
+        self.table = table.tolist()
         self._f = _f_ml if objective == "ml" else _f_icl
         # The third communities c of a move a -> b, in ascending order.
         self._others = [[[c for c in range(k) if c != a and c != b] for b in range(k)]
                         for a in range(k)]
         self.F = self.block_terms()
-        self.potential = self.full_potential()
+        self.potential = self.cached_potential()
 
     def _term(self, a, b):
         s, o = self.sizes, self.o
@@ -181,9 +201,8 @@ class _GreedyState:
         """k x k block terms recomputed from the counters."""
         return [[self._term(a, b) for b in range(self.k)] for a in range(self.k)]
 
-    def full_potential(self):
-        """Potential recomputed from the counters, not from the cached F."""
-        t, k = self.block_terms(), self.k
+    def _sum_terms(self, t):
+        k = self.k
         total = 0.0
         if self.objective == "ml":
             for a in range(k):
@@ -194,6 +213,18 @@ class _GreedyState:
                 for b in range(a, k):
                     total += t[a][b]
         return total
+
+    def full_potential(self):
+        """Potential recomputed from the counters, not from the cached F."""
+        return self._sum_terms(self.block_terms())
+
+    def cached_potential(self):
+        """Potential summed from the cached F in the order of full_potential.
+
+        F depends only on the integer counters, so unlike the running
+        potential this sum carries no rounding from earlier moves.
+        """
+        return self._sum_terms(self.F)
 
     def normalized_value(self):
         scale = 2.0 * self.n * self.n if self.objective == "ml" else float(self.n * self.n)
@@ -257,9 +288,12 @@ class _GreedyState:
         self.sizes[b] += 1
         self.z[i] = b
         self.potential += delta
-        for r in (a, b):
-            for c in range(self.k):
-                F[r][c] = F[c][r] = self._term(r, c)
+        term = self._term
+        # Block (b, a) is block (a, b): 2k - 1 distinct terms change.
+        for c in range(self.k):
+            F[a][c] = F[c][a] = term(a, c)
+            if c != a:
+                F[b][c] = F[c][b] = term(b, c)
         table, indptr = self.table, self._indptr
         for j in self.g.indices[indptr[i]:indptr[i + 1]].tolist():
             row = table[j]
@@ -351,26 +385,21 @@ def greedy_argmax(g, k, cfg):
     return _finalize(g, labels, k, cfg, sweeps, restart, converged)
 
 
-def _canonical_labelings(n, k):
-    """All labelings of n nodes in first-occurrence canonical form, lex order."""
-    z = np.zeros(n, dtype=np.int64)
-
-    def rec(i, used):
-        if i == n:
-            yield z
-            return
-        top = min(used + 1, k)
-        for lab in range(top):
-            z[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(1, 1)
-
-
 def exact_argmax(g, k, cfg):
     """Global maximizer by exhaustive enumeration of canonical labelings.
 
-    Refuses when k^n exceeds the enumeration guard. Ties in the objective
+    Refuses when k^n exceeds the enumeration guard. The labelings in
+    first-occurrence canonical form are visited depth first, in
+    lexicographic order, on one _GreedyState that starts with every node
+    in community 0: node i steps through the labels 0 .. min(used + 1, k) - 1
+    by single-node moves, exploring the subtree under each, and moves back
+    to 0 after the last one. A labeling thus costs about two O(k + degree)
+    moves instead of a recount.
+
+    A feasible leaf's potential is the sum of its cached block terms. A
+    leaf whose potential comes within a relative _RESCORE_TOL of the best
+    one, or above it, is re-scored from block_counters by the vectorized
+    objective, and only those values are compared. Ties in that value
     keep the lexicographically smallest canonical labeling.
     """
     cfg.check_feasible(k)
@@ -379,24 +408,48 @@ def exact_argmax(g, k, cfg):
         raise SearchSpaceError(
             f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
-    min_size = min_feasible_size(g.n, cfg.alpha)
-    if k * min_size > g.n:
+    n = g.n
+    min_size = min_feasible_size(n, cfg.alpha)
+    if k * min_size > n:
         raise InfeasibleError(
-            f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {g.n}"
+            f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {n}"
         )
     score = ml_from_counters if cfg.objective == "ml" else icl_from_counters
-    best_value = None
-    best_labels = None
-    for z in _canonical_labelings(g.n, k):
-        sizes = np.bincount(z, minlength=k)
-        if sizes.min() < min_size:
-            continue
+    state = _GreedyState(g, k, np.zeros(n, dtype=np.int64), cfg.objective)
+    z, sizes, table = state.z, state.sizes, state.table
+    # Moves pass a zero delta: the search reads the cached terms, never the
+    # running potential.
+    apply_move, cached_potential = state.apply_move, state.cached_potential
+    best_value = best_potential = best_labels = None
+
+    def leaf():
+        nonlocal best_value, best_potential, best_labels
+        if min(sizes) < min_size:
+            return
+        potential = cached_potential()
+        if (best_potential is not None
+                and potential < best_potential - _RESCORE_TOL * abs(best_potential)):
+            return
         value = score(block_counters(g, Labeling(z, k)))
         if best_value is None or value > best_value:
-            best_value = value
-            best_labels = z.copy()
+            best_value, best_potential, best_labels = value, potential, z.copy()
+
+    def visit(i, used):
+        if i == n:
+            leaf()
+            return
+        visit(i + 1, used)
+        d = table[i]
+        top = min(used + 1, k)
+        for lab in range(1, top):
+            apply_move(i, lab, d, 0.0)
+            visit(i + 1, max(used, lab + 1))
+        if top > 1:
+            apply_move(i, 0, d, 0.0)
+
+    visit(1, 1)
     if best_labels is None:
         raise InfeasibleError(
-            f"no labeling of {g.n} nodes into {k} communities meets alpha={cfg.alpha}"
+            f"no labeling of {n} nodes into {k} communities meets alpha={cfg.alpha}"
         )
     return _finalize(g, best_labels, k, cfg, 0, 0, True)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .divergences import neg_bernoulli_entropy, tilted_divergence
-from .errors import DegenerateBlockError
+from .errors import DegenerateBlockError, ParameterError
 from .graphs import block_counters, confusion
 from .modularity import ml_from_counters
 from .sampling import expected_block_density, expected_edge_counts
@@ -77,9 +77,9 @@ def phase_constant_from_rates(pi, s):
     s = np.asarray(s, dtype=float)
     k = pi.size
     if k < 2:
-        raise ValueError("the phase constant is undefined for k = 1")
+        raise ParameterError("the phase constant is undefined for k = 1")
     if (pi <= 0).any() or (s <= 0).any():
-        raise ValueError("pi and S must be strictly positive")
+        raise ParameterError("pi and S must be strictly positive")
     best = None
     for b in range(k):
         for bp in range(k):

@@ -150,3 +150,78 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fit_args(tmp_path, graph_text, *extra):
+    g_path = tmp_path / "g.txt"
+    g_path.write_text(graph_text)
+    return ["fit", str(g_path), "--k", "2", "--alpha", "0.2", "--restarts", "2",
+            "--out", str(tmp_path / "e.txt"), *extra]
+
+
+@pytest.mark.parametrize("graph_text,extra", [
+    ("1 2 3\n", ()),                      # three fields
+    ("4 2\n1 x\n", ()),                   # not an integer
+    ("", ()),                             # empty file
+    ("3 0\n0 1\n", ()),                   # node 0 in a 1-based file
+    ("4 2\n1 2\n3 4\n", ("--alpha", "1.5")),
+    ("4 2\n1 2\n3 4\n", ("--restarts", "0")),
+    ("4 2\n1 2\n3 4\n", ("--k", "0")),
+    ("4 2\n1 2\n3 4\n", ("--k", "3", "--alpha", "0.3", "--exact")),  # needs 6 nodes
+])
+def test_fit_usage_errors_exit_two(tmp_path, capsys, graph_text, extra):
+    assert main(_fit_args(tmp_path, graph_text, *extra)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_length_mismatch_and_bad_label_exit_two(tmp_path):
+    a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+    a.write_text("1\n2\n1\n")
+    b.write_text("1\n2\n")
+    c.write_text("1\n0\n1\n")
+    assert main(["eval", "--true", str(a), "--pred", str(b)]) == 2
+    assert main(["eval", "--true", str(a), "--pred", str(c)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "k = 2\nS = 9.0, x\nS = 1.0, 9.0\n",
+    "k = two\nS = 9.0, 1.0\nS = 1.0, 9.0\n",
+    "k = 2\npi = 1.0\nS = 9.0, 1.0\nS = 1.0, 9.0\n",
+    "k = 2\nS = 9.0, 1.0\nS = 1.0\n",
+    "k = 1\nS = 9.0\n",
+    "k = 2\nS = 9.0, 0.0\nS = 0.0, 9.0\n",
+])
+def test_bad_params_file_exit_two(tmp_path, text):
+    path = tmp_path / "params.txt"
+    path.write_text(text)
+    assert main(["constant", "--params", str(path)]) == 2
+
+
+def test_experiment_argument_errors_exit_two(tmp_path):
+    out = str(tmp_path / "rows.csv")
+    assert main(["sweep-separation", "--k", "1", "--seps", "1", "--out", out]) == 2
+    assert main(["concentration", "--n-list", "50", "--reps", "0"]) == 2
+    for argv in (["sweep-separation", "--seps", "-1,2", "--out", out],
+                 ["sweep-sparsity", "--rhos", "0.1", "--separation", "-1", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("reps = many\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "sweep-separation", "--seps", "1", "--out", out])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "missing.txt"), "verify"])
+    assert exc.value.code == 2
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    # A ValueError that is not a usage error is a bug: it keeps its
+    # traceback instead of becoming exit code 2.
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("sbmfit.cli.greedy_argmax", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(_fit_args(tmp_path, "4 2\n1 2\n3 4\n"))

@@ -67,14 +67,15 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         for text in ("3 0\n1 2\n2 2\n", "3 0\n0 1\n"):
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ParameterError):
                 read_edge_list(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "g.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ValueError):
-            read_edge_list(path)
+        for text in ("1 2 3\n", "1 b\n", "1.5 2\n", "# only a comment\n"):
+            path.write_text(text)
+            with pytest.raises(ParameterError):
+                read_edge_list(path)
 
 
 class TestLabelingFile:
@@ -91,6 +92,13 @@ class TestLabelingFile:
         assert path.read_text().split() == ["1", "3", "2"]
         z = read_labeling(path)
         assert z.k == 3
+
+    @pytest.mark.parametrize("text", ["", "1\nx\n", "1\n0\n"])
+    def test_bad_file(self, tmp_path, text):
+        path = tmp_path / "z.txt"
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            read_labeling(path)
 
 
 class TestParamsFile:
@@ -131,6 +139,21 @@ class TestParamsFile:
         path.write_text("k = 2\nS = 9, 1\nS = 1, 9\n")
         k, pi, s, _ = read_rates(path)
         assert k == 2 and s[0, 0] == 9.0
+
+    @pytest.mark.parametrize("text", [
+        "k = 2\nS = 4, one\nS = 1, 4\n",
+        "k = 2.5\nS = 4, 1\nS = 1, 4\n",
+        "k = 0\nS = 4\n",
+        "k = 2\npi = 0.2, 0.3, 0.5\nS = 4, 1\nS = 1, 4\n",
+        "k = 2\nS = 4, 1\nS = 1\n",
+        "k = 2\nS = 4, 1\n",
+        "k = 2\nS = 4, 1\nS = 1, 4\nrho = high\n",
+    ])
+    def test_malformed_values(self, tmp_path, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            read_params(path)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "p.txt"

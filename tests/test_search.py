@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from sbmfit import (
     sample,
 )
 from sbmfit.experiments import balanced_params
+from sbmfit import modularity
 from sbmfit.modularity import icl_from_counters, ml_from_counters
 from sbmfit.graphs import block_counters
 from sbmfit import search
 from sbmfit.search import _GreedyState
 
 from conftest import random_graph, random_labeling
+import reference_exact
+from reference_exact import reference_exact_argmax
 from reference_greedy import reference_greedy_argmax
 
 
@@ -123,6 +127,11 @@ class TestGreedy:
             for b in range(2):
                 if b != a:
                     assert state.move_delta(a, b, d) <= 0.0
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1], [0, 1, 1, 0, 1], [-1, 0, 1]])
+    def test_state_rejects_bad_labels(self, labels):
+        with pytest.raises(ValueError):
+            _GreedyState(Graph.from_edges(3, [(0, 1)]), 2, labels, "ml")
 
     def test_deterministic(self, rng):
         g = random_graph(rng, 30)
@@ -276,6 +285,99 @@ class TestReferenceOracle:
         _, g = sample(balanced_params(k, 12.0, 2.0, 0.05), 240, seed=7)
         cfg = SearchConfig(objective=objective, restarts=3, seed=5)
         assert_same_fit(greedy_argmax(g, k, cfg), reference_greedy_argmax(g, k, cfg))
+
+
+def tie_heavy_graph(kind, n, rng):
+    """Graphs whose objective has many exactly or nearly equal labelings."""
+    if kind == "random":
+        return random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+    if kind == "empty":
+        return Graph.from_edges(n, [])
+    if kind == "complete":
+        return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    if kind == "two_cliques":
+        half = n // 2
+        return Graph.from_edges(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                                    if (i < half) == (j < half)])
+    return Graph.from_edges(n, [(0, j) for j in range(1, n)])  # star
+
+
+class TestExactReferenceOracle:
+    """Depth-first apply/undo enumeration against one recount per labeling."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 9), k=st.integers(1, 3),
+           objective=st.sampled_from(["ml", "icl"]),
+           kind=st.sampled_from(["random", "random", "empty", "complete", "two_cliques",
+                                 "star"]),
+           slack=st.sampled_from([0.05, 0.3, 0.6, 0.9, 1.0]))
+    def test_fit_equals_reference(self, seed, n, k, objective, kind, slack):
+        rng = np.random.default_rng(seed)
+        g = tie_heavy_graph(kind, n, rng)
+        # slack = 1 puts alpha at the feasibility limit 1/k (capped below 1
+        # for k = 1), where few or no labelings are feasible.
+        cfg = SearchConfig(objective=objective, alpha=min(slack / k, 0.95), restarts=1)
+        try:
+            want = reference_exact_argmax(g, k, cfg)
+        except (InfeasibleError, SearchSpaceError) as exc:
+            with pytest.raises(type(exc)):
+                exact_argmax(g, k, cfg)
+            return
+        assert_same_fit(exact_argmax(g, k, cfg), want)
+
+    @pytest.mark.parametrize("n,k,alpha,error", [
+        (40, 3, 0.1, SearchSpaceError),
+        (16, 3, 0.1, SearchSpaceError),
+        (5, 2, 0.45, InfeasibleError),
+        (7, 3, 0.3, InfeasibleError),
+    ])
+    def test_same_refusals(self, n, k, alpha, error):
+        g = Graph.from_edges(n, [])
+        cfg = SearchConfig(alpha=alpha, restarts=1)
+        for search_fn in (reference_exact_argmax, exact_argmax):
+            with pytest.raises(error):
+                search_fn(g, k, cfg)
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_nudged_scorer_near_ties(self, monkeypatch, objective):
+        # Nudging each labeling's value by up to 1e-12, fixed by its
+        # counters, reorders exact and near ties the way rounding in the
+        # vectorized sums can. Every leaf that could then win lies within
+        # the re-scoring window, so the result must still be the reference's.
+        name = f"{objective}_from_counters"
+        true_score = getattr(modularity, name)
+
+        def nudged(counters):
+            key = zlib.crc32(counters.sizes.tobytes() + counters.edge_counts.tobytes())
+            return true_score(counters) + 1e-12 * (key % 97) / 97
+
+        monkeypatch.setattr(search, name, nudged)
+        monkeypatch.setattr(reference_exact, name, nudged)
+        rng = np.random.default_rng(11)
+        for kind, n, k in itertools.product(["star", "two_cliques", "complete", "empty",
+                                             "random"], range(4, 10), [2, 3]):
+            g = tie_heavy_graph(kind, n, rng)
+            cfg = SearchConfig(objective=objective, alpha=0.1, restarts=1)
+            assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_few_recounts_at_n10(self, monkeypatch, objective):
+        # The reference recounts all 2^9 = 512 canonical labelings of 10
+        # nodes into 2 communities; the apply/undo enumeration recounts
+        # only near-best leaves plus the winner.
+        _, g = sample(balanced_params(2, 18.0, 1.0, 0.05), 10, seed=3)
+        cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
+        calls = []
+
+        def counting_block_counters(*args):
+            calls.append(args)
+            return block_counters(*args)
+
+        monkeypatch.setattr(search, "block_counters", counting_block_counters)
+        fit = exact_argmax(g, 2, cfg)
+        assert 1 <= len(calls) <= 40
+        monkeypatch.undo()
+        assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
 
 
 class TestConverged:
