@@ -6,50 +6,59 @@ phase-transition constant governing exact recovery, and a simulation
 harness with reproducible sweeps.
 """
 
-from .errors import (
-    DegenerateBlockError,
-    InfeasibleError,
-    ParameterError,
-    SbmfitError,
-    SearchSpaceError,
-)
-from .graphs import (
-    BlockCounters,
-    ConfusionMatrix,
-    Graph,
-    Labeling,
-    block_counters,
-    confusion,
-    disagreement_fraction,
-    hamming_distance,
-    meets_min_size,
-    misclassification,
-)
-from .metrics import nmi
-from .modularity import (
-    ModularityValue,
-    evaluate,
-    integrated_likelihood_modularity,
-    likelihood_modularity,
-    modularity_gap,
-)
-from .sampling import (
-    SbmParams,
-    derive_seed,
-    expected_block_density,
-    expected_edge_counts,
-    sample,
-)
-from .search import FitResult, SearchConfig, exact_argmax, greedy_argmax
-from .theory import (
-    PhaseConstant,
-    edge_count_deviation,
-    expected_likelihood_modularity,
-    max_pairwise_divergence,
-    mixture_information,
-    modularity_excess,
-    phase_transition_constant,
-)
+from importlib import import_module as _import_module
+
+# Public names, and the submodules that define them, resolve on first
+# access, so a command imports only the modules it uses: `sbmfit sample`
+# does not pay for scipy.special.
+_EXPORTS = {
+    "errors": (
+        "DegenerateBlockError",
+        "InfeasibleError",
+        "ParameterError",
+        "SbmfitError",
+        "SearchSpaceError",
+    ),
+    "graphs": (
+        "BlockCounters",
+        "ConfusionMatrix",
+        "Graph",
+        "Labeling",
+        "block_counters",
+        "confusion",
+        "disagreement_fraction",
+        "hamming_distance",
+        "meets_min_size",
+        "misclassification",
+    ),
+    "metrics": ("nmi",),
+    "modularity": (
+        "ModularityValue",
+        "evaluate",
+        "integrated_likelihood_modularity",
+        "likelihood_modularity",
+        "modularity_gap",
+    ),
+    "sampling": (
+        "SbmParams",
+        "derive_seed",
+        "expected_block_density",
+        "expected_edge_counts",
+        "sample",
+    ),
+    "search": ("FitResult", "SearchConfig", "exact_argmax", "greedy_argmax"),
+    "theory": (
+        "PhaseConstant",
+        "edge_count_deviation",
+        "expected_likelihood_modularity",
+        "max_pairwise_divergence",
+        "mixture_information",
+        "modularity_excess",
+        "phase_transition_constant",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "divergences")
 
 __version__ = "0.1.0"
 
@@ -92,3 +101,18 @@ __all__ = [
     "phase_transition_constant",
     "sample",
 ]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -12,20 +12,12 @@ import sys
 
 from . import io as sbmio
 from .errors import ParameterError, SbmfitError
-from .experiments import (
-    concentration_experiment,
-    objective_agreement_notes,
-    rows_csv,
-    summarize,
-    summary_csv,
-    sweep_separation,
-    sweep_sparsity,
-    verify_all,
-)
 from .graphs import misclassification
 from .metrics import nmi
-from .plotting import sweep_plot_svg
-from .search import SearchConfig, exact_argmax, greedy_argmax
+
+# The experiments, search and plotting modules, and scipy.special behind
+# them, are imported by the commands that use them, so `sample` and `eval`
+# start without them.
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
@@ -146,6 +138,8 @@ def _build_parser():
 
 
 def _search_config(args):
+    from .search import SearchConfig
+
     try:
         return SearchConfig(
             objective=getattr(args, "objective", "ml"),
@@ -170,6 +164,8 @@ def _cmd_sample(args):
 
 
 def _cmd_fit(args):
+    from .search import exact_argmax, greedy_argmax
+
     g, _ = sbmio.read_edge_list(args.graph, header=False if args.no_header else "auto")
     cfg = _search_config(args)
     if args.exact:
@@ -238,6 +234,9 @@ def _cmd_constant(args):
 
 
 def _write_sweep_outputs(rows, args, key):
+    from .experiments import objective_agreement_notes, rows_csv, summarize, summary_csv
+    from .plotting import sweep_plot_svg
+
     with open(args.out, "w") as fh:
         fh.write(rows_csv(rows, include_timing=args.timing))
     summary = summarize(rows, key=key)
@@ -258,6 +257,8 @@ def _write_sweep_outputs(rows, args, key):
 
 
 def _cmd_sweep_separation(args):
+    from .experiments import sweep_separation
+
     cfg = _search_config(args)
     rows = sweep_separation(
         args.n, args.k, args.seps, args.reps, cfg, base_seed=args.seed,
@@ -268,6 +269,8 @@ def _cmd_sweep_separation(args):
 
 
 def _cmd_sweep_sparsity(args):
+    from .experiments import sweep_sparsity
+
     cfg = _search_config(args)
     rows = sweep_sparsity(
         args.n, args.k, args.rhos, args.reps, cfg, base_seed=args.seed,
@@ -278,7 +281,11 @@ def _cmd_sweep_sparsity(args):
 
 
 def _cmd_concentration(args):
-    from .experiments import concentration_default_params
+    from .experiments import (
+        concentration_default_params,
+        concentration_experiment,
+        deviation_scale_diagnostic,
+    )
 
     reports = []
     for n in args.n_list:
@@ -298,8 +305,6 @@ def _cmd_concentration(args):
     fractions = [r.violation_fraction for r in reports]
     monotone = all(b <= a + 0.05 for a, b in zip(fractions, fractions[1:]))
     print(f"violation_fraction_nonincreasing_within_band {'yes' if monotone else 'no'}")
-    from .experiments import deviation_scale_diagnostic
-
     n0 = args.n_list[0]
     params0 = sbmio.read_params(args.params, n=n0) if args.params else concentration_default_params(n0)
     diag = deviation_scale_diagnostic(params0, n0, flips=5, reps=min(args.reps, 100),
@@ -313,6 +318,8 @@ def _cmd_concentration(args):
 
 
 def _cmd_verify(args):
+    from .experiments import verify_all
+
     report = verify_all(seed=args.seed)
     text = report.render()
     sys.stdout.write(text)

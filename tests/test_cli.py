@@ -140,16 +140,31 @@ def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):
     assert not fit.converged
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize costs about 0.3 s per command; only misclassification
-    # at k > 8 needs it, and it imports it there.
+def _run_fresh(code, *args):
     src = str(Path(sbmfit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about 0.3 s per command; only misclassification
+    # at k > 8 needs it, and it imports it there.
     code = "import sys, sbmfit.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run_fresh(code).strip() == "False"
+
+
+def test_sample_command_leaves_out_scipy_special(tmp_path, params_file):
+    # scipy.special costs about 0.25 s per command; sampling uses none of it.
+    code = ("import sys, sbmfit.cli\n"
+            "rc = sbmfit.cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy.special' in sys.modules)")
+    out = _run_fresh(code, "sample", "--params", params_file, "--n", "50",
+                     "--out-graph", str(tmp_path / "g.txt"),
+                     "--out-labels", str(tmp_path / "z.txt"))
+    assert out.splitlines()[-1] == "0 False"
+    assert len((tmp_path / "z.txt").read_text().splitlines()) == 50
 
 
 def _fit_args(tmp_path, graph_text, *extra):
@@ -222,6 +237,6 @@ def test_internal_value_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr("sbmfit.cli.greedy_argmax", broken)
+    monkeypatch.setattr("sbmfit.search.greedy_argmax", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(_fit_args(tmp_path, "4 2\n1 2\n3 4\n"))

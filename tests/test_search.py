@@ -257,34 +257,48 @@ def assert_same_fit(got, want):
         want.objective, want.sweeps_used, want.restart_index, want.feasible, want.converged)
 
 
+# Cases of the greedy reference oracle; tests/test_restart_workers.py runs
+# them again with the restarts shared by forked workers.
+GREEDY_ORACLE_CASES = dict(
+    seed=st.integers(0, 2**32), n=st.integers(4, 40), k=st.sampled_from([2, 3, 4]),
+    objective=st.sampled_from(["ml", "icl"]), slack=st.sampled_from([0.3, 0.9, 0.97, 1.0]),
+    max_sweeps=st.sampled_from([1, 2, 60]), restarts=st.integers(1, 4))
+GREEDY_ORACLE_SBM = [(2, "ml"), (3, "icl"), (3, "ml")]
+
+
+def check_greedy_oracle_case(seed, n, k, objective, slack, max_sweeps, restarts):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
+    # slack = 1 puts alpha at the feasibility limit 1/k: the size floor
+    # then blocks most moves, or leaves no feasible labeling at all.
+    cfg = SearchConfig(objective=objective, alpha=slack / k, restarts=restarts,
+                       max_sweeps=max_sweeps, seed=int(rng.integers(2**31)))
+    try:
+        want = reference_greedy_argmax(g, k, cfg)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            greedy_argmax(g, k, cfg)
+        return
+    assert_same_fit(greedy_argmax(g, k, cfg), want)
+
+
+def check_greedy_oracle_sbm(k, objective):
+    _, g = sample(balanced_params(k, 12.0, 2.0, 0.05), 240, seed=7)
+    cfg = SearchConfig(objective=objective, restarts=3, seed=5)
+    assert_same_fit(greedy_argmax(g, k, cfg), reference_greedy_argmax(g, k, cfg))
+
+
 class TestReferenceOracle:
     """The maintained-table loop against the per-visit bincount loop."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32), n=st.integers(4, 40), k=st.sampled_from([2, 3, 4]),
-           objective=st.sampled_from(["ml", "icl"]),
-           slack=st.sampled_from([0.3, 0.9, 0.97, 1.0]),
-           max_sweeps=st.sampled_from([1, 2, 60]), restarts=st.integers(1, 4))
+    @given(**GREEDY_ORACLE_CASES)
     def test_fit_equals_reference(self, seed, n, k, objective, slack, max_sweeps, restarts):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
-        # slack = 1 puts alpha at the feasibility limit 1/k: the size floor
-        # then blocks most moves, or leaves no feasible labeling at all.
-        cfg = SearchConfig(objective=objective, alpha=slack / k, restarts=restarts,
-                           max_sweeps=max_sweeps, seed=int(rng.integers(2**31)))
-        try:
-            want = reference_greedy_argmax(g, k, cfg)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                greedy_argmax(g, k, cfg)
-            return
-        assert_same_fit(greedy_argmax(g, k, cfg), want)
+        check_greedy_oracle_case(seed, n, k, objective, slack, max_sweeps, restarts)
 
-    @pytest.mark.parametrize("k,objective", [(2, "ml"), (3, "icl"), (3, "ml")])
+    @pytest.mark.parametrize("k,objective", GREEDY_ORACLE_SBM)
     def test_sampled_sbm_equals_reference(self, k, objective):
-        _, g = sample(balanced_params(k, 12.0, 2.0, 0.05), 240, seed=7)
-        cfg = SearchConfig(objective=objective, restarts=3, seed=5)
-        assert_same_fit(greedy_argmax(g, k, cfg), reference_greedy_argmax(g, k, cfg))
+        check_greedy_oracle_sbm(k, objective)
 
 
 def tie_heavy_graph(kind, n, rng):
