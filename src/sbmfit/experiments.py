@@ -574,7 +574,7 @@ def _check_incremental(seed, cases=20, tol=1e-9):
             for b in range(k):
                 if b == a:
                     continue
-                delta = state.move_delta(a, b, d)
+                delta = state.best_move(a, d, (b,))[0]
                 if delta > 0:
                     state.apply_move(int(i), b, d, delta)
                     err = abs(state.potential - state.full_potential()) / scale

@@ -2,8 +2,10 @@
 
 Both searches run on one move kernel, _GreedyState: integer block
 counters, the current objective term of every block pair and, per node,
-the count of its neighbours in each community. One candidate relabeling
-costs O(k) work and O(k) new objective terms; an applied move costs
+the count of its neighbours in each community. A greedy node visit is one
+best_move call that scores every target community: the node's old block
+after the removal is one new term for all targets, and each target adds
+O(k) more, so a visit costs O(k^2) terms; an applied move costs
 O(degree + k) to update the tables. The x*log(x) and log-gamma values
 behind the terms are memoized per integer argument for the life of the
 process, so memory grows with the distinct counts a search visits, not
@@ -24,8 +26,10 @@ vectorized objective of sbmfit.modularity, whose values alone decide the
 winner.
 """
 
+import math
 import os
 import pickle
+import select
 import signal
 import threading
 import traceback
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln
 
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, block_counters, meets_min_size, min_feasible_size
@@ -56,6 +60,10 @@ _INIT_ATTEMPTS = 1000
 # wins above it (n=50: 10.3 ms serial against 12.1 ms forked at 20
 # restarts; n=200: 26.0 against 19.1 ms at 5 restarts).
 _FORK_MIN_WORK = 1000
+# The parent waits this long for the restart claim record before it checks
+# whether a child died holding it; a live holder writes it back within
+# microseconds.
+_CLAIM_POLL_S = 0.1
 # Exact search re-scores a leaf whose cached-term potential is within this
 # relative distance of the best one, or above it. A leaf that beats the best
 # vectorized value has at least the best potential in exact arithmetic; the
@@ -113,18 +121,19 @@ class FitResult:
     converged: bool
 
 
-# Memos of xlogy(x, x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
+# Memos of x*log(x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
 # arguments searches have visited. They are shared by every fit in the
-# process, so a sweep fills them once; each value is the ufunc at float(x),
-# bit-identical to the same ufunc over an array. A forked restart worker
-# starts from the parent's memos and its own fills die with it.
+# process, so a sweep fills them once; each value is bit-identical to the
+# scipy ufunc (xlogy(x, x), gammaln) over an array at float(x). A forked
+# restart worker starts from the parent's memos and its own fills die with it.
 _XLOGX = {}
 _LGAMMA_HALF = {}
 _LGAMMA_INT = {}
 
 
 def _xlogx(x):
-    return xlogy(x, x)
+    # Scalar xlogy(x, x) without the ufunc dispatch: the same log and product.
+    return x * math.log(x) if x else 0.0
 
 
 def _lgamma_half(x):
@@ -142,9 +151,26 @@ def _memo(table, fn, x):
     return value
 
 
+def _fill_ml(o, m):
+    """_f_ml on a memo miss: the same sum, filling the memo as it goes."""
+    if m <= 0:
+        return 0.0
+    t = _XLOGX
+    return _memo(t, _xlogx, o) + _memo(t, _xlogx, m - o) - _memo(t, _xlogx, m)
+
+
+def _fill_icl(o, m):
+    """_f_icl on a memo miss: the same sum, filling the memos as it goes."""
+    if m <= 0:
+        return 0.0
+    gh = _LGAMMA_HALF
+    return (_memo(gh, _lgamma_half, o) + _memo(gh, _lgamma_half, m - o)
+            - _memo(_LGAMMA_INT, _lgamma_int, m) - LOG_BETA_HALF)
+
+
 # The block terms subscript the memos directly: plain dict lookups keep the
 # interpreter's fast path, and a KeyError sends the first visit of an
-# argument through _memo, which gives the same sum.
+# argument through _fill_ml or _fill_icl, which give the same sum.
 def _f_ml(o, m):
     """Block term of the plug-in likelihood, m * tau(o / m); 0 for m = 0."""
     if m <= 0:
@@ -153,7 +179,7 @@ def _f_ml(o, m):
     try:
         return t[o] + t[m - o] - t[m]
     except KeyError:
-        return _memo(t, _xlogx, o) + _memo(t, _xlogx, m - o) - _memo(t, _xlogx, m)
+        return _fill_ml(o, m)
 
 
 def _f_icl(o, m):
@@ -164,8 +190,7 @@ def _f_icl(o, m):
     try:
         return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
     except KeyError:
-        return (_memo(gh, _lgamma_half, o) + _memo(gh, _lgamma_half, m - o)
-                - _memo(gi, _lgamma_int, m) - LOG_BETA_HALF)
+        return _fill_icl(o, m)
 
 
 class _GreedyState:
@@ -174,8 +199,9 @@ class _GreedyState:
     The potential is the unnormalized objective: sum over ordered blocks of
     x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
     terms for icl. Normalization does not affect the argmax. The current
-    term of every block pair is cached in F, so a move delta evaluates only
-    the terms of the blocks after the move. The labels z are a plain list,
+    term of every block pair is cached in F, so best_move evaluates only
+    the terms of the blocks after a move, and shares the removal term of
+    the node's own block among its targets. The labels z are a plain list,
     and table[i][c] counts the neighbours of node i in community c, an
     n x k list of lists built once from the edge endpoints. apply_move
     refreshes rows and columns a and b of F and the table rows of the
@@ -256,41 +282,104 @@ class _GreedyState:
         """
         return self.table[i]
 
-    def move_delta(self, a, b, d):
-        """Potential change from relabeling one node from a to b."""
+    def best_move(self, a, d, targets):
+        """Largest potential change over relabeling one node from a to each
+        of targets, and the first target that reaches it; (-inf, -1) when
+        targets is empty.
+
+        d is the node's row of neighbour counts. The terms of the blocks
+        after the move are read from the memos inline, each with its own
+        miss path; the term of block (a, a) after the removal is the same
+        for every target and is computed once. Each delta is summed in a
+        fixed order, so equal counters always give the same float. A block
+        with no pairs (m = 0) needs no test: its subscripted term is
+        exactly +0.0, as _f_ml and _f_icl return, because x*log(x) is 0 at
+        0 and 2 * gammaln(1/2) - gammaln(1) equals LOG_BETA_HALF.
+        """
         s, o, F = self.sizes, self.o, self.F
-        f = self._f
-        sa, sb = s[a], s[b]
-        sa1, sb1 = sa - 1, sb + 1
-        da, db = d[a], d[b]
-        oa, ob = o[a], o[b]
-        Fa, Fb = F[a], F[b]
-        others = self._others[a][b]
+        others = self._others[a]
+        sa1 = s[a] - 1
+        da = d[a]
+        oa, Fa = o[a], F[a]
+        best, best_b = -math.inf, -1
         if self.objective == "ml":
-            delta = (
-                f(oa[a] - 2 * da, sa1 * (sa1 - 1)) - Fa[a]
-                + f(ob[b] + 2 * db, sb1 * (sb1 - 1)) - Fb[b]
-                + 2.0 * (f(oa[b] + da - db, sa1 * sb1) - Fa[b])
-            )
-            for c in others:
-                sc, dc = s[c], d[c]
-                delta += 2.0 * (
-                    f(oa[c] - dc, sa1 * sc) - Fa[c]
-                    + f(ob[c] + dc, sb1 * sc) - Fb[c]
-                )
+            t = _XLOGX
+            x, m = oa[a] - 2 * da, sa1 * (sa1 - 1)
+            try:
+                f = t[x] + t[m - x] - t[m]
+            except KeyError:
+                f = _fill_ml(x, m)
+            removal = f - Fa[a]
+            for b in targets:
+                sb1, db = s[b] + 1, d[b]
+                ob, Fb = o[b], F[b]
+                x, m = ob[b] + 2 * db, sb1 * (sb1 - 1)
+                try:
+                    f = t[x] + t[m - x] - t[m]
+                except KeyError:
+                    f = _fill_ml(x, m)
+                delta = removal + f - Fb[b]
+                x, m = oa[b] + da - db, sa1 * sb1
+                try:
+                    f = t[x] + t[m - x] - t[m]
+                except KeyError:
+                    f = _fill_ml(x, m)
+                delta += 2.0 * (f - Fa[b])
+                for c in others[b]:
+                    sc, dc = s[c], d[c]
+                    x, m = oa[c] - dc, sa1 * sc
+                    try:
+                        f = t[x] + t[m - x] - t[m]
+                    except KeyError:
+                        f = _fill_ml(x, m)
+                    x, m = ob[c] + dc, sb1 * sc
+                    try:
+                        g = t[x] + t[m - x] - t[m]
+                    except KeyError:
+                        g = _fill_ml(x, m)
+                    delta += 2.0 * (f - Fa[c] + g - Fb[c])
+                if delta > best:
+                    best, best_b = delta, b
         else:
-            delta = (
-                f(oa[a] // 2 - da, sa1 * (sa1 - 1) // 2) - Fa[a]
-                + f(ob[b] // 2 + db, sb1 * (sb1 - 1) // 2) - Fb[b]
-                + f(oa[b] + da - db, sa1 * sb1) - Fa[b]
-            )
-            for c in others:
-                sc, dc = s[c], d[c]
-                delta += (
-                    f(oa[c] - dc, sa1 * sc) - Fa[c]
-                    + f(ob[c] + dc, sb1 * sc) - Fb[c]
-                )
-        return delta
+            gh, gi, beta = _LGAMMA_HALF, _LGAMMA_INT, LOG_BETA_HALF
+            x, m = oa[a] // 2 - da, sa1 * (sa1 - 1) // 2
+            try:
+                f = gh[x] + gh[m - x] - gi[m] - beta
+            except KeyError:
+                f = _fill_icl(x, m)
+            removal = f - Fa[a]
+            for b in targets:
+                sb1, db = s[b] + 1, d[b]
+                ob, Fb = o[b], F[b]
+                x, m = ob[b] // 2 + db, sb1 * (sb1 - 1) // 2
+                try:
+                    f = gh[x] + gh[m - x] - gi[m] - beta
+                except KeyError:
+                    f = _fill_icl(x, m)
+                delta = removal + f - Fb[b]
+                x, m = oa[b] + da - db, sa1 * sb1
+                try:
+                    f = gh[x] + gh[m - x] - gi[m] - beta
+                except KeyError:
+                    f = _fill_icl(x, m)
+                # Not delta += f - Fa[b]: the sum is left to right.
+                delta = delta + f - Fa[b]
+                for c in others[b]:
+                    sc, dc = s[c], d[c]
+                    x, m = oa[c] - dc, sa1 * sc
+                    try:
+                        f = gh[x] + gh[m - x] - gi[m] - beta
+                    except KeyError:
+                        f = _fill_icl(x, m)
+                    x, m = ob[c] + dc, sb1 * sc
+                    try:
+                        g = gh[x] + gh[m - x] - gi[m] - beta
+                    except KeyError:
+                        g = _fill_icl(x, m)
+                    delta += f - Fa[c] + g - Fb[c]
+                if delta > best:
+                    best, best_b = delta, b
+        return best, best_b
 
     def apply_move(self, i, b, d, delta):
         a = self.z[i]
@@ -361,7 +450,8 @@ def _run_restart(g, k, cfg, min_size, restart):
     state = _GreedyState(g, k, labels, cfg.objective)
     # Plain-list views of the state: a visit touches no numpy scalar.
     z, sizes, table = state.z, state.sizes, state.table
-    move_delta, apply_move = state.move_delta, state.apply_move
+    best_move, apply_move = state.best_move, state.apply_move
+    targets = [[b for b in range(k) if b != a] for a in range(k)]
     sweeps = 0
     while sweeps < cfg.max_sweeps:
         improved = False
@@ -370,17 +460,9 @@ def _run_restart(g, k, cfg, min_size, restart):
             if sizes[a] - 1 < min_size:
                 continue
             d = table[i]
-            best_delta = _MOVE_EPS
-            best_b = -1
-            for b in range(k):
-                if b == a:
-                    continue
-                delta = move_delta(a, b, d)
-                if delta > best_delta:
-                    best_delta = delta
-                    best_b = b
-            if best_b >= 0:
-                apply_move(i, best_b, d, best_delta)
+            delta, b = best_move(a, d, targets[a])
+            if delta > _MOVE_EPS:
+                apply_move(i, b, d, delta)
                 improved = True
         sweeps += 1
         if not improved:
@@ -452,20 +534,44 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
     sorted by restart index, the order of the serial loop. If anything
     raises here, a child's exception included, the children still running
     are killed and every child is reaped before the exception propagates.
+
+    A child that dies between reading and writing back the record takes the
+    counter with it, and this process holds the write end itself, so it
+    waits for the record with a timeout and checks its children whenever
+    the wait runs out: a child that was killed or exited with an error
+    status raises RuntimeError. A clean exit means a child read the counter
+    past the last restart, so no claim is left and the wait ends. Results
+    are read from whichever child pipe is ready, so a dead child is noticed
+    while another one still runs.
     """
     claim_r, claim_w = os.pipe()
     os.write(claim_w, (0).to_bytes(8, "little"))
 
-    def claimed():
-        while True:
+    def claimed(wait):
+        while wait():
             restart = int.from_bytes(os.read(claim_r, 8), "little")
             os.write(claim_w, (restart + 1).to_bytes(8, "little"))
             if restart >= cfg.restarts:
                 return
             yield restart
 
-    def run():
-        return [_run_restart(g, k, cfg, min_size, r) for r in claimed()]
+    def run(wait=lambda: True):
+        return [_run_restart(g, k, cfg, min_size, r) for r in claimed(wait)]
+
+    def record_or_spent():
+        """True once the record is readable, False if a child spent the counter."""
+        while not select.select([claim_r], [], [], _CLAIM_POLL_S)[0]:
+            for pid, _ in children:
+                # WNOWAIT leaves the child to be reaped below.
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                if info is None:
+                    continue
+                if info.si_code != os.CLD_EXITED or info.si_status != 0:
+                    raise RuntimeError(f"restart worker {pid} died while restarts were "
+                                       f"being claimed (code {info.si_code}, "
+                                       f"status {info.si_status})")
+                return False
+        return True
 
     children = []  # (pid, read end of its result pipe), not yet reaped
     try:
@@ -480,22 +586,27 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(result_w)
             children.append((pid, result_r))
-        results = run()
+        results = run(record_or_spent)
+        received = {result_r: [] for _, result_r in children}
         while children:
-            pid, result_r = children[0]
-            with os.fdopen(result_r, "rb", closefd=False) as fh:
-                data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            os.close(result_r)
-            if not data:
-                raise RuntimeError(f"restart worker {pid} sent no result "
-                                   f"(wait status {status})")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                exc, text = payload
-                raise exc from RuntimeError(f"in restart worker {pid}:\n{text}")
-            results.extend(payload)
+            ready = select.select([result_r for _, result_r in children], [], [])[0]
+            for pid, result_r in [child for child in children if child[1] in ready]:
+                chunk = os.read(result_r, 1 << 16)
+                if chunk:
+                    received[result_r].append(chunk)
+                    continue
+                _, status = os.waitpid(pid, 0)
+                children.remove((pid, result_r))
+                os.close(result_r)
+                data = b"".join(received.pop(result_r))
+                if not data:
+                    raise RuntimeError(f"restart worker {pid} sent no result "
+                                       f"(wait status {status})")
+                ok, payload = pickle.loads(data)
+                if not ok:
+                    exc, text = payload
+                    raise exc from RuntimeError(f"in restart worker {pid}:\n{text}")
+                results.extend(payload)
     finally:
         for pid, result_r in children:
             os.close(result_r)

@@ -54,7 +54,7 @@ def test_verify_exit_zero(tmp_path, capsys):
     out_path = str(tmp_path / "report.txt")
     assert main(["verify", "--seed", "1", "--out", out_path]) == 0
     assert "checks passed" in capsys.readouterr().out
-    assert "PASS" in open(out_path).read()
+    assert "PASS" in Path(out_path).read_text()
 
 
 def test_sweep_deterministic_csv(tmp_path, capsys):
@@ -68,15 +68,15 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
         assert main(args + ["--out", a, "--summary", str(tmp_path / "sa.csv"),
                             "--plot", str(tmp_path / "pa.svg")]) == 0
         assert main(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(str(tmp_path / "pa.svg")).read().startswith("<svg")
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert (tmp_path / "pa.svg").read_text().startswith("<svg")
 
 
 def test_sweep_sparsity_cli(tmp_path):
     out = str(tmp_path / "rows.csv")
     assert main(["sweep-sparsity", "--n", "40", "--k", "2", "--rhos", "0.025,0.1",
                  "--reps", "1", "--restarts", "2", "--seed", "3", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 2 * 1 * 2
 
 
@@ -99,7 +99,7 @@ def test_config_file_defaults(tmp_path, params_file):
         rc = main(["--config", str(cfg), "sweep-separation", "--k", "2",
                    "--seed", "1", "--out", out])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 2 * 1 * 2
 
 
@@ -120,7 +120,7 @@ def test_fit_headerless_edge_list(tmp_path):
     rc = main(["fit", str(g_path), "--no-header", "--k", "2", "--alpha", "0.2",
                "--restarts", "3", "--out", str(tmp_path / "e.txt")])
     assert rc == 0
-    assert len(open(tmp_path / "e.txt").read().split()) == 8
+    assert len((tmp_path / "e.txt").read_text().split()) == 8
 
 
 def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):

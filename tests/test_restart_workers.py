@@ -1,6 +1,7 @@
 """Greedy restarts shared with forked workers give the serial fit."""
 
 import os
+import signal
 import threading
 import time
 
@@ -181,6 +182,115 @@ class TestFailures:
         with pytest.raises(KeyboardInterrupt):
             greedy_argmax(small_graph(), 2, SearchConfig(restarts=6))
         assert time.monotonic() - start < 60
+        assert_no_children()
+
+
+    def test_child_killed_holding_the_claim_record(self, tmp_path, monkeypatch):
+        # The child takes the counter with it, so no process can claim again.
+        force_workers(monkeypatch, 2)
+        parent = os.getpid()
+        marker = tmp_path / "child-read"
+        real_read, run_restart = os.read, search._run_restart
+
+        def read(fd, size):
+            data = real_read(fd, size)
+            if os.getpid() != parent:
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return data
+
+        def after_child_read(g, k, cfg, min_size, restart):
+            wait_for(marker)
+            return run_restart(g, k, cfg, min_size, restart)
+
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(search, "_run_restart", after_child_read)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="died while restarts were being claimed"):
+            greedy_argmax(small_graph(), 2, SearchConfig(restarts=4))
+        assert time.monotonic() - start < 10
+        assert_no_children()
+
+    def test_dead_child_noticed_while_another_runs(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 3)
+        parent = os.getpid()
+        markers = [tmp_path / f"child-{i}" for i in (1, 2)]
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)  # a child sees its own fork order
+            return real_fork()
+
+        def split(g, k, cfg, min_size, restart):
+            if os.getpid() == parent:
+                for path in markers:
+                    wait_for(path)
+                return 0.0, [0] * g.n, 0, restart, True
+            markers[len(forks) - 1].touch()
+            if len(forks) == 1:
+                time.sleep(120)  # the first child is still busy ...
+            os.kill(os.getpid(), signal.SIGKILL)  # ... when the second dies
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(search, "_run_restart", split)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="sent no result"):
+            greedy_argmax(small_graph(), 2, SearchConfig(restarts=6))
+        assert time.monotonic() - start < 10
+        assert_no_children()
+
+    def test_clean_exit_ends_the_claims(self, tmp_path, monkeypatch):
+        # The first child exits after reading the counter past the last
+        # restart while the second holds the record: the parent stops
+        # claiming and the fit completes.
+        g = small_graph()
+        cfg = SearchConfig(restarts=3)
+        want = greedy_argmax(g, 2, cfg)  # serial: n * restarts is below the break-even
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(search, "_CLAIM_POLL_S", 0.02)
+        parent = os.getpid()
+        claimed, spent, holding = (tmp_path / name for name in ("claimed", "spent", "holding"))
+        forks, exits = [], []
+        real_fork, real_read, real_waitid = os.fork, os.read, os.waitid
+        run_restart = search._run_restart
+
+        def counting_fork():
+            forks.append(1)  # a child sees its own fork order
+            return real_fork()
+
+        def read(fd, size):
+            if os.getpid() == parent:
+                return real_read(fd, size)
+            wait_for(claimed)
+            if len(forks) == 2:
+                wait_for(spent)
+            data = real_read(fd, size)
+            if len(forks) == 2:
+                holding.touch()
+                time.sleep(1.0)
+            elif int.from_bytes(data, "little") >= cfg.restarts:
+                spent.touch()
+            return data
+
+        def waitid(*args):
+            info = real_waitid(*args)
+            if info is not None:
+                exits.append(info.si_code)
+            return info
+
+        def parent_waits(g, k, cfg, min_size, restart):
+            if os.getpid() == parent:
+                claimed.touch()
+                wait_for(holding)
+            return run_restart(g, k, cfg, min_size, restart)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(os, "waitid", waitid)
+        monkeypatch.setattr(search, "_run_restart", parent_waits)
+        assert_same_fit(greedy_argmax(g, 2, cfg), want)
+        assert exits == [os.CLD_EXITED]
         assert_no_children()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import zlib
 
 import numpy as np
@@ -28,7 +29,7 @@ from sbmfit.search import _GreedyState
 from conftest import random_graph, random_labeling
 import reference_exact
 from reference_exact import reference_exact_argmax
-from reference_greedy import reference_greedy_argmax
+from reference_greedy import ReferenceGreedyState, reference_greedy_argmax
 
 
 def two_cliques(size=4):
@@ -126,7 +127,7 @@ class TestGreedy:
             d = state.neighbor_counts(i)
             for b in range(2):
                 if b != a:
-                    assert state.move_delta(a, b, d) <= 0.0
+                    assert state.best_move(a, d, (b,))[0] <= 0.0
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1], [0, 1, 1, 0, 1], [-1, 0, 1]])
     def test_state_rejects_bad_labels(self, labels):
@@ -179,7 +180,7 @@ class TestGreedy:
                 for b in range(k):
                     if b == a:
                         continue
-                    delta = state.move_delta(a, b, d)
+                    delta = state.best_move(a, d, (b,))[0]
                     if delta > 0:
                         before = state.full_potential()
                         state.apply_move(int(i), b, d, delta)
@@ -203,6 +204,7 @@ class TestTermMemos:
     def test_bit_identical_to_vectorized_ufuncs(self, rng):
         args = np.unique(np.concatenate([
             np.arange(3000), rng.integers(0, 9 * 10**6, size=3000), np.arange(1, 3001) ** 2,
+            rng.integers(0, 10**8, size=3000),
         ]))
         x = args.astype(float)
         for table, fn, want in (
@@ -213,6 +215,15 @@ class TestTermMemos:
             got = np.array([search._memo(table, fn, a) for a in args.tolist()])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_xlogx_bit_identical_to_ufunc_over_range(self):
+        # Every integer up to 2^21, then a seeded sample up to 10^8; the
+        # memo stores _xlogx at float(x), so no table is filled here.
+        x = np.concatenate([
+            np.arange(2**21 + 1), np.random.default_rng(21).integers(2**21, 10**8, size=10**5),
+        ]).astype(float)
+        got = np.array([search._xlogx(v) for v in x.tolist()])
+        assert np.array_equal(got.view(np.int64), xlogy(x, x).view(np.int64))
+
     def test_block_terms_fill_on_first_visit(self):
         # Arguments no other test reaches: the KeyError path must give the
         # value the filled memo gives on the next call.
@@ -221,6 +232,62 @@ class TestTermMemos:
         assert search._f_ml(o, m) == first_ml
         assert search._f_icl(o, m) == first_icl
         assert first_ml == xlogy(o, o) + xlogy(m - o, m - o) - xlogy(m, m)
+
+
+def reference_best_move(ref, a, d, targets):
+    """Maximum and first argmax of the reference per-target deltas."""
+    deltas = [ref.move_delta(a, b, d) for b in targets]
+    best = max(deltas)
+    return best, targets[deltas.index(best)]
+
+
+class TestBestMove:
+    """The inlined kernel against the reference deltas, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.sampled_from([2, 3, 4]),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_equals_reference_deltas(self, seed, k, objective, data):
+        rng = np.random.default_rng(seed)
+        # At most three nodes per community on average: sizes 0-2 are common,
+        # so removals empty a block and moves fill an empty one.
+        n = data.draw(st.integers(2, 3 * k))
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        state = _GreedyState(g, k, labels, objective)
+        ref = ReferenceGreedyState(g, k, labels, objective)
+        tables = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
+        saved = [dict(t) for t in tables]
+        try:
+            for i in range(n):
+                a = labels[i]
+                d = state.neighbor_counts(i)
+                assert d == ref.neighbor_counts(i)
+                targets = data.draw(st.permutations([b for b in range(k) if b != a]))
+                targets = targets[:data.draw(st.integers(1, k - 1))]
+                want = reference_best_move(ref, a, d, targets)
+                for t in tables:
+                    t.clear()
+                cold = state.best_move(a, d, targets)
+                warm = state.best_move(a, d, targets)
+                # Fill every small argument, 0 included, which the miss path
+                # never stores for log-gamma: zero-size blocks then take the
+                # subscript path too.
+                for t, fn in zip(tables, (search._xlogx, search._lgamma_half,
+                                          search._lgamma_int)):
+                    for x in range(3 * n * n):
+                        search._memo(t, fn, x)
+                filled = state.best_move(a, d, targets)
+                for got in (cold, warm, filled):
+                    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+        finally:
+            for t, old in zip(tables, saved):
+                t.clear()
+                t.update(old)
+
+    def test_no_targets(self):
+        state = _GreedyState(two_cliques(), 2, [0] * 4 + [1] * 4, "ml")
+        assert state.best_move(0, state.neighbor_counts(0), ()) == (-math.inf, -1)
 
 
 class TestCachedBlockTerms:
@@ -238,7 +305,7 @@ class TestCachedBlockTerms:
             if b == a:
                 continue
             d = state.neighbor_counts(i)
-            state.apply_move(i, b, d, state.move_delta(a, b, d))
+            state.apply_move(i, b, d, state.best_move(a, d, (b,))[0])
             fresh = _GreedyState(g, k, state.z, objective)
             assert state.o == fresh.o and state.sizes == fresh.sizes
             assert state.F == fresh.F == state.block_terms()
