@@ -33,8 +33,6 @@ _EXPORTS = {
     ),
     "metrics": ("nmi",),
     "modularity": (
-        "ModularityValue",
-        "evaluate",
         "integrated_likelihood_modularity",
         "likelihood_modularity",
         "modularity_gap",
@@ -51,7 +49,6 @@ _EXPORTS = {
         "PhaseConstant",
         "edge_count_deviation",
         "expected_likelihood_modularity",
-        "max_pairwise_divergence",
         "mixture_information",
         "modularity_excess",
         "phase_transition_constant",
@@ -62,45 +59,7 @@ _SUBMODULES = (*_EXPORTS, "divergences")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockCounters",
-    "ConfusionMatrix",
-    "DegenerateBlockError",
-    "FitResult",
-    "Graph",
-    "InfeasibleError",
-    "Labeling",
-    "ModularityValue",
-    "ParameterError",
-    "PhaseConstant",
-    "SbmParams",
-    "SbmfitError",
-    "SearchConfig",
-    "SearchSpaceError",
-    "block_counters",
-    "confusion",
-    "derive_seed",
-    "disagreement_fraction",
-    "edge_count_deviation",
-    "evaluate",
-    "exact_argmax",
-    "expected_block_density",
-    "expected_edge_counts",
-    "expected_likelihood_modularity",
-    "greedy_argmax",
-    "hamming_distance",
-    "integrated_likelihood_modularity",
-    "likelihood_modularity",
-    "max_pairwise_divergence",
-    "meets_min_size",
-    "misclassification",
-    "mixture_information",
-    "modularity_excess",
-    "modularity_gap",
-    "nmi",
-    "phase_transition_constant",
-    "sample",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -92,36 +92,29 @@ def _build_parser():
     p = sub.add_parser("constant", help="phase-transition constant for a parameter file")
     p.add_argument("--params", required=True)
 
-    p = sub.add_parser("sweep-separation", help="NMI against community separation")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seps", type=_separation_list, required=True)
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--restarts", type=int, default=15)
-    p.add_argument("--max-sweeps", type=int, default=60)
-    p.add_argument("--out", required=True, help="rows CSV path")
-    p.add_argument("--summary", help="summary CSV path")
-    p.add_argument("--plot", help="SVG plot path")
-    p.add_argument("--timing", action="store_true", help="write wall-clock runtimes")
-    p.add_argument("--keep-labelings", help="directory for per-replicate labeling files")
+    # Options shared by both sweeps. The subparsers share these Action
+    # objects, so a --config default set on one applies to the other too.
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--n", type=int, default=200)
+    sweep.add_argument("--k", type=int, default=2)
+    sweep.add_argument("--reps", type=int, default=50)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--alpha", type=float, default=0.05)
+    sweep.add_argument("--restarts", type=int, default=15)
+    sweep.add_argument("--max-sweeps", type=int, default=60)
+    sweep.add_argument("--out", required=True, help="rows CSV path")
+    sweep.add_argument("--summary", help="summary CSV path")
+    sweep.add_argument("--plot", help="SVG plot path")
+    sweep.add_argument("--timing", action="store_true", help="write wall-clock runtimes")
+    sweep.add_argument("--keep-labelings", help="directory for per-replicate labeling files")
 
-    p = sub.add_parser("sweep-sparsity", help="NMI against the sparsity scale")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--k", type=int, default=2)
+    p = sub.add_parser("sweep-separation", parents=[sweep],
+                       help="NMI against community separation")
+    p.add_argument("--seps", type=_separation_list, required=True)
+
+    p = sub.add_parser("sweep-sparsity", parents=[sweep], help="NMI against the sparsity scale")
     p.add_argument("--rhos", type=_float_list, required=True)
     p.add_argument("--separation", type=_separation, default=2.10)
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--restarts", type=int, default=15)
-    p.add_argument("--max-sweeps", type=int, default=60)
-    p.add_argument("--out", required=True)
-    p.add_argument("--summary")
-    p.add_argument("--plot")
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--keep-labelings", help="directory for per-replicate labeling files")
 
     p = sub.add_parser("concentration", help="block-frequency concentration check")
     p.add_argument("--params", help="parameter file; default balanced k=2 model")

@@ -17,41 +17,6 @@ def neg_bernoulli_entropy(x):
     return out if out.ndim else float(out)
 
 
-def rate_entropy(x):
-    """x*log(x) - x, the sparse-limit analogue of neg_bernoulli_entropy."""
-    x = np.asarray(x, dtype=float)
-    out = xlogy(x, x) - x
-    return out if out.ndim else float(out)
-
-
-def bernoulli_kl(p, q):
-    """KL divergence between Bernoulli(p) and Bernoulli(q)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = xlogy(p, p / q) + xlog1py(1.0 - p, -p) - xlog1py(1.0 - p, -q)
-    return out if out.ndim else float(out)
-
-
-def poisson_kl(p, q):
-    """KL divergence between Poisson intensities: p*log(p/q) + q - p."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = xlogy(p, p / q) + q - p
-    return out if out.ndim else float(out)
-
-
-def tilted_divergence(t, p, q):
-    """Chernoff-tilted rate divergence p^(1-t)*q^t + t*p*log(p/q) - p.
-
-    Equals 0 at t=0 and poisson_kl(p, q) at t=1; convex in t.
-    """
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = p ** (1.0 - t) * q ** t + t * xlogy(p, p / q) - p
-    return out if out.ndim else float(out)
-
-
 def chernoff_hellinger(t, p, q):
     """Chernoff-Hellinger rate divergence (1-t)*p + t*q - p^(1-t)*q^t.
 
@@ -62,11 +27,4 @@ def chernoff_hellinger(t, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     out = (1.0 - t) * p + t * q - p ** (1.0 - t) * q ** t
-    return out if out.ndim else float(out)
-
-
-def exp_remainder(x):
-    """exp(x) - x - 1, the second-order remainder of the exponential."""
-    x = np.asarray(x, dtype=float)
-    out = np.expm1(x) - x
     return out if out.ndim else float(out)

@@ -174,6 +174,14 @@ class BlockCounters:
     def k(self):
         return int(self.sizes.size)
 
+    def densities(self):
+        """Block edge densities o_ab / n_ab, 0 for blocks that hold no pairs."""
+        nab = self.pair_counts
+        mask = nab > 0
+        out = np.zeros_like(nab, dtype=float)
+        out[mask] = self.edge_counts[mask] / nab[mask]
+        return out
+
     def tilde_pair_counts(self):
         """Pair counts with the diagonal halved (unordered within-community pairs)."""
         out = self.pair_counts.copy()
@@ -223,18 +231,24 @@ def _check_pair(e, z):
         raise ValueError(f"community counts differ: {e.k} vs {z.k}")
 
 
+def pair_count_matrix(sizes):
+    """Ordered pair counts n_ab from community sizes: n_a n_b, n_a (n_a - 1) on the diagonal."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    out = np.outer(sizes, sizes)
+    np.fill_diagonal(out, sizes * (sizes - 1))
+    return out
+
+
 def block_counters(g, z):
     """Count community sizes, ordered node pairs and edge endpoints per block."""
     if z.n != g.n:
         raise ValueError(f"labeling length {z.n} does not match graph size {g.n}")
     sizes = z.sizes()
-    pair_counts = np.outer(sizes, sizes)
-    np.fill_diagonal(pair_counts, sizes * (sizes - 1))
     k = z.k
     # One count per stored edge endpoint (i, j): both orientations of an edge.
     src_labels = np.repeat(z.labels, g.degrees())
     edge_counts = np.bincount(src_labels * k + z.labels[g.indices], minlength=k * k)
-    return BlockCounters(sizes, pair_counts, edge_counts.reshape(k, k))
+    return BlockCounters(sizes, pair_count_matrix(sizes), edge_counts.reshape(k, k))
 
 
 def confusion_counts(e, z):

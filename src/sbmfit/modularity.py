@@ -1,7 +1,6 @@
 """The two objective functions over labelings: plug-in and integrated likelihood."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln
@@ -11,33 +10,16 @@ from .graphs import block_counters
 
 LOG_BETA_HALF = float(betaln(0.5, 0.5))
 
-OBJECTIVE_ML = "ml"
-OBJECTIVE_ICL = "icl"
-OBJECTIVES = (OBJECTIVE_ML, OBJECTIVE_ICL)
-
-
-@dataclass(frozen=True)
-class ModularityValue:
-    """An objective value in nats per n^2, tagged by which objective produced it."""
-
-    value: float
-    objective: str
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+OBJECTIVES = ("ml", "icl")
 
 
 def ml_from_counters(counters):
     """Plug-in likelihood objective from precomputed block counters."""
     nab = counters.pair_counts
-    oab = counters.edge_counts
     mask = nab > 0
-    ratio = np.zeros_like(nab, dtype=float)
-    ratio[mask] = oab[mask] / nab[mask]
     # Sorted accumulation makes the value bitwise invariant under label
     # permutations, which reorder the block terms.
-    total = float(np.sort(nab[mask] * neg_bernoulli_entropy(ratio[mask])).sum())
+    total = float(np.sort(nab[mask] * neg_bernoulli_entropy(counters.densities()[mask])).sum())
     n = int(counters.sizes.sum())
     return total / (2.0 * n * n)
 
@@ -91,12 +73,3 @@ def modularity_gap(g, z):
     k = z.k
     bound = k * k * (math.log(g.n) + 2.0) / (g.n * g.n)
     return gap, bound
-
-
-def evaluate(g, z, objective):
-    """Evaluate one of the two objectives, returning a tagged value."""
-    if objective == OBJECTIVE_ML:
-        return ModularityValue(likelihood_modularity(g, z), objective)
-    if objective == OBJECTIVE_ICL:
-        return ModularityValue(integrated_likelihood_modularity(g, z), objective)
-    raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")

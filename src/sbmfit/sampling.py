@@ -34,14 +34,14 @@ class SbmParams:
         s = np.asarray(self.s, dtype=float)
         if pi.shape != (self.k,):
             raise ParameterError(f"pi must have length k={self.k}")
-        if (pi <= 0).any():
-            raise ParameterError("all entries of pi must be positive")
+        if not np.isfinite(pi).all() or (pi <= 0).any():
+            raise ParameterError("all entries of pi must be finite and positive")
         if abs(pi.sum() - 1.0) > 1e-9:
             raise ParameterError(f"pi must sum to 1, got {pi.sum()!r}")
         if s.shape != (self.k, self.k):
             raise ParameterError(f"S must be {self.k}x{self.k}")
-        if (s <= 0).any():
-            raise ParameterError("all entries of S must be strictly positive")
+        if not np.isfinite(s).all() or (s <= 0).any():
+            raise ParameterError("all entries of S must be finite and strictly positive")
         if not np.allclose(s, s.T, rtol=0, atol=0):
             raise ParameterError("S must be symmetric")
         if not 0.0 < self.rho <= 1.0:
@@ -66,14 +66,6 @@ class SbmParams:
     def p(self):
         """Edge probability matrix rho * S."""
         return self.rho * self.s
-
-    @property
-    def s_min(self):
-        return float(self.s.min())
-
-    @property
-    def s_max(self):
-        return float(self.s.max())
 
 
 def derive_seed(base_seed, *indices):

@@ -270,10 +270,6 @@ class _GreedyState:
         """
         return self._sum_terms(self.F)
 
-    def normalized_value(self):
-        scale = 2.0 * self.n * self.n if self.objective == "ml" else float(self.n * self.n)
-        return self.potential / scale
-
     def neighbor_counts(self, i):
         """Edges from node i into each community, as the live table row.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .divergences import neg_bernoulli_entropy, tilted_divergence
+from .divergences import neg_bernoulli_entropy
 from .errors import DegenerateBlockError, ParameterError
 from .graphs import block_counters, confusion
 from .modularity import ml_from_counters
@@ -78,8 +78,9 @@ def phase_constant_from_rates(pi, s):
     k = pi.size
     if k < 2:
         raise ParameterError("the phase constant is undefined for k = 1")
-    if (pi <= 0).any() or (s <= 0).any():
-        raise ParameterError("pi and S must be strictly positive")
+    finite = np.isfinite(pi).all() and np.isfinite(s).all()
+    if not finite or (pi <= 0).any() or (s <= 0).any():
+        raise ParameterError("pi and S must be finite and strictly positive")
     best = None
     for b in range(k):
         for bp in range(k):
@@ -95,29 +96,6 @@ def phase_constant_from_rates(pi, s):
 def phase_transition_constant(params):
     """Compute the recovery threshold constant for (pi, S), ignoring rho."""
     return phase_constant_from_rates(params.pi, params.s)
-
-
-def max_pairwise_divergence(s):
-    """max over t in [0,1] and off-diagonal pairs of the tilted divergence.
-
-    tilted_divergence is convex in t and zero at t = 0, so the maximum sits
-    at t = 1 for every argument pair.
-    """
-    s = np.asarray(s, dtype=float)
-    k = s.shape[0]
-    best = 0.0
-    for a in range(k):
-        for ap in range(k):
-            if a == ap:
-                continue
-            for b in range(k):
-                for bp in range(k):
-                    if b == bp:
-                        continue
-                    val = tilted_divergence(1.0, s[a, b], s[ap, bp])
-                    if val > best:
-                        best = val
-    return best
 
 
 def mixture_information(r, s):
@@ -169,14 +147,10 @@ def modularity_excess(g, e, z, params):
     likelihood_modularity(g, e) - expected_likelihood_modularity(R, ...).
     """
     counters = block_counters(g, e)
-    r = confusion(e, z)
-    density = expected_block_density(r, params, g.n)
+    density = expected_block_density(confusion(e, z), params, g.n)
     nab = counters.pair_counts
-    oab = counters.edge_counts
     mask = nab > 0
-    ratio = np.zeros_like(nab, dtype=float)
-    ratio[mask] = oab[mask] / nab[mask]
-    diff = neg_bernoulli_entropy(ratio) - neg_bernoulli_entropy(density)
+    diff = neg_bernoulli_entropy(counters.densities()) - neg_bernoulli_entropy(density)
     total = float((nab[mask] * diff[mask]).sum())
     return total / (2.0 * g.n * g.n)
 

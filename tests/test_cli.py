@@ -103,6 +103,22 @@ def test_config_file_defaults(tmp_path, params_file):
     assert len(lines) == 1 + 2 * 1 * 2
 
 
+def test_config_defaults_reach_both_sweeps(tmp_path):
+    # The two sweep subcommands share their option objects; a --config value
+    # for a shared option, here the otherwise required --out, must serve both.
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"n = 30\nreps = 1\nrestarts = 1\nout = {out}\n")
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in (["sweep-separation", "--seps", "2"], ["sweep-sparsity", "--rhos", "0.1"]):
+            out.unlink(missing_ok=True)
+            assert main(["--config", str(cfg), *argv]) == 0
+            assert len(out.read_text().splitlines()) == 1 + 2
+
+
 def test_usage_error_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--k", "2"])  # missing positional graph and --out
@@ -210,6 +226,30 @@ def test_bad_params_file_exit_two(tmp_path, text):
     path = tmp_path / "params.txt"
     path.write_text(text)
     assert main(["constant", "--params", str(path)]) == 2
+
+
+@pytest.mark.parametrize("rates", [
+    "pi = nan, 0.5\nS = 9.0, 1.0\nS = 1.0, 9.0\n",
+    "S = nan, 1.0\nS = 1.0, 9.0\n",
+])
+@pytest.mark.parametrize("command", ["constant", "sample"])
+def test_non_finite_params_exit_two(tmp_path, capsys, rates, command):
+    path = tmp_path / "params.txt"
+    path.write_text("k = 2\nrho = 0.1\n" + rates)
+    argv = [command, "--params", str(path)]
+    if command == "sample":
+        argv += ["--n", "20", "--out-graph", str(tmp_path / "g.txt"),
+                 "--out-labels", str(tmp_path / "z.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_every_export_resolves():
+    listed = dir(sbmfit)
+    for name in sbmfit.__all__:
+        assert getattr(sbmfit, name) is not None
+        assert name in listed
 
 
 def test_experiment_argument_errors_exit_two(tmp_path):

@@ -134,8 +134,14 @@ class TestVerify:
         assert r1.render() == r2.render()
         assert "7/7 checks passed" in r1.render()
 
-    def test_corrupted_tau_is_caught(self):
-        report = verify_all(seed=3, corrupt_tau=True)
+    def test_corrupted_tau_is_caught(self, monkeypatch):
+        # Scaling tau by 1.5 breaks the plug-in objective. The gap check
+        # reaches it through modularity_gap and must be the only one to fail.
+        from sbmfit import modularity
+
+        ml = modularity.ml_from_counters
+        monkeypatch.setattr(modularity, "ml_from_counters", lambda counters: 1.5 * ml(counters))
+        report = verify_all(seed=3)
         assert not report.passed
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["gap_within_bound"]

@@ -9,6 +9,8 @@ import hashlib
 import math
 import warnings
 
+import numpy as np
+
 from sbmfit import SearchConfig, sample
 from sbmfit.experiments import (
     balanced_params,
@@ -56,3 +58,41 @@ def test_sampled_edge_lists(tmp_path):
         path = tmp_path / f"g{seed}.txt"
         write_edge_list(path, g, k=2)
         assert sha256(path.read_bytes()) == digest
+
+
+def _float_stream(values):
+    return "\n".join(float(v).hex() for v in values)
+
+
+def test_objective_floats():
+    # Every objective and identity value at full precision. The digests
+    # above see objective values only through rounded text, so a rewrite of
+    # the block ratios that moved one rounding would pass them unnoticed.
+    from sbmfit import Graph, Labeling, SbmParams, block_counters
+    from sbmfit.experiments import concentration_default_params, concentration_experiment
+    from sbmfit.modularity import icl_from_counters, ml_from_counters
+    from sbmfit.theory import ml_identity_residual, modularity_excess
+
+    rng = np.random.Generator(np.random.PCG64(8080))
+    values = []
+    for _ in range(50):
+        n = int(rng.integers(8, 41))
+        k = int(rng.integers(1, 5))
+        edges = np.argwhere(np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.95), k=1))
+        g = Graph.from_edges(n, edges)
+        # A shuffled round-robin e gives every community at least two nodes,
+        # so the expected block densities are defined.
+        e = Labeling(rng.permutation(np.arange(n) % k), k)
+        z = Labeling(rng.integers(0, k, size=n), k)
+        pi = rng.uniform(0.2, 1.0, size=k)
+        s = rng.uniform(0.1, 1.8, size=(k, k))
+        params = SbmParams(k=k, pi=pi / pi.sum(), s=(s + s.T) / 2.0, rho=0.5)
+        for lab in (e, z):
+            counters = block_counters(g, lab)
+            values += [ml_from_counters(counters), icl_from_counters(counters)]
+        values += [modularity_excess(g, e, z, params), ml_identity_residual(g, e, z, params)]
+    report = concentration_experiment(concentration_default_params(60), 60, 5, 4.0, base_seed=3)
+    values += [report.rho, report.delta, report.empirical_sup_deviation,
+               report.theoretical_bound, report.violation_fraction, report.w_self_max]
+    assert sha256(_float_stream(values)) == (
+        "eb754a8af7f635cac164c4ca013ae95fdc9c277bc623a8fab2b810df90513bc2")

@@ -12,7 +12,6 @@ from sbmfit import (
     likelihood_modularity,
     modularity_gap,
 )
-from sbmfit.modularity import evaluate
 
 from conftest import random_graph, random_labeling
 
@@ -137,16 +136,3 @@ class TestModularityGap:
             z = random_labeling(rng, n, k)
             gap, bound = modularity_gap(g, z)
             assert 0.0 <= gap <= bound
-
-
-class TestEvaluate:
-    def test_tags(self, rng):
-        g = random_graph(rng, 10)
-        z = random_labeling(rng, 10, 2)
-        ml = evaluate(g, z, "ml")
-        icl = evaluate(g, z, "icl")
-        assert ml.objective == "ml" and icl.objective == "icl"
-        assert ml.value == likelihood_modularity(g, z)
-        assert icl.value == integrated_likelihood_modularity(g, z)
-        with pytest.raises(ValueError):
-            evaluate(g, z, "other")

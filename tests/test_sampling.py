@@ -13,7 +13,7 @@ from sbmfit import (
     expected_edge_counts,
     sample,
 )
-from sbmfit.experiments import pair_count_matrix
+from sbmfit.graphs import pair_count_matrix
 
 from sbmfit import sampling
 from sbmfit.experiments import balanced_params
@@ -31,6 +31,14 @@ class TestSbmParams:
             SbmParams(k=2, pi=np.array([0.7, 0.4]), s=np.eye(2) + 1, rho=0.1)
         with pytest.raises(ParameterError):
             SbmParams(k=2, pi=np.array([1.0, 0.0]), s=np.eye(2) + 1, rho=0.1)
+
+    def test_rejects_non_finite_entries(self):
+        # NaN fails every comparison, so an order test alone lets it through.
+        for pi, s in (([np.nan, 1.0], np.eye(2) + 1),
+                      ([0.5, 0.5], [[np.nan, 1.0], [1.0, 2.0]]),
+                      ([0.5, 0.5], [[np.inf, 1.0], [1.0, 2.0]])):
+            with pytest.raises(ParameterError, match="finite"):
+                SbmParams(k=2, pi=np.array(pi), s=np.array(s), rho=0.1)
 
     def test_rejects_probability_overflow(self):
         with pytest.raises(ParameterError):
