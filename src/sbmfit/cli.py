@@ -12,7 +12,7 @@ import sys
 
 from . import io as sbmio
 from .errors import ParameterError, SbmfitError
-from .graphs import misclassification
+from .graphs import Labeling, misclassification
 from .metrics import nmi
 
 # The experiments, search and plotting modules, and scipy.special behind
@@ -49,13 +49,9 @@ def _load_config_defaults(argv):
     known, _ = pre.parse_known_args(argv)
     defaults = {}
     if known.config:
-        with open(known.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = value.strip()
+        for line in sbmio._content_lines(known.config):
+            key, _, value = line.partition("=")
+            defaults[key.strip().replace("-", "_")] = value.strip()
     return defaults
 
 
@@ -117,7 +113,7 @@ def _build_parser():
     p.add_argument("--separation", type=_separation, default=2.10)
 
     p = sub.add_parser("concentration", help="block-frequency concentration check")
-    p.add_argument("--params", help="parameter file; default balanced k=2 model")
+    p.add_argument("--params", help="parameter file; default balanced k=3 model")
     p.add_argument("--n-list", type=_int_list, default=[100, 200, 400])
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--delta", type=float, default=4.0)
@@ -199,8 +195,6 @@ def _cmd_eval(args):
     if z.n != e.n:
         raise ParameterError(f"labeling files differ in length: {z.n} vs {e.n} nodes")
     k = max(z.k, e.k)
-    from .graphs import Labeling
-
     z = Labeling(z.labels, k)
     e = Labeling(e.labels, k)
     value = nmi(e, z)
@@ -286,6 +280,8 @@ def _cmd_concentration(args):
             params = sbmio.read_params(args.params, n=n)
         else:
             params = concentration_default_params(n)
+        if not reports:
+            params0 = params
         report = concentration_experiment(params, n, args.reps, args.delta, base_seed=args.seed)
         reports.append(report)
         print(
@@ -299,7 +295,6 @@ def _cmd_concentration(args):
     monotone = all(b <= a + 0.05 for a, b in zip(fractions, fractions[1:]))
     print(f"violation_fraction_nonincreasing_within_band {'yes' if monotone else 'no'}")
     n0 = args.n_list[0]
-    params0 = sbmio.read_params(args.params, n=n0) if args.params else concentration_default_params(n0)
     diag = deviation_scale_diagnostic(params0, n0, flips=5, reps=min(args.reps, 100),
                                       base_seed=args.seed)
     print(

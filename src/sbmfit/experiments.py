@@ -5,6 +5,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .graphs import (
     misclassification,
     pair_count_matrix,
 )
+from .io import write_labeling
 from .metrics import nmi
 from .modularity import modularity_gap
 from .sampling import SbmParams, derive_seed, expected_block_density, expected_edge_counts, sample
@@ -43,19 +45,7 @@ class SweepRow:
     runtime_ms: float
 
 
-SWEEP_CSV_FIELDS = (
-    "n",
-    "k",
-    "s1",
-    "s2",
-    "separation",
-    "rho",
-    "replicate_seed",
-    "objective",
-    "nmi",
-    "misclassified",
-    "runtime_ms",
-)
+SWEEP_CSV_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,6 @@ def _fit_row(g, z_true, params, cfg, objective, replicate_seed, separation, keep
     fit = greedy_argmax(g, z_true.k, fit_cfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if keep_dir is not None:
-        from .io import write_labeling
-
         write_labeling(keep_dir / f"{replicate_seed}_{objective}.labels", fit.labeling)
     return SweepRow(
         n=g.n,
@@ -116,10 +104,10 @@ def _fit_row(g, z_true, params, cfg, objective, replicate_seed, separation, keep
 def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=None):
     if k < 2:
         raise ParameterError("sweeps need at least two communities")
+    if reps < 1:
+        raise ParameterError(f"reps must be >= 1, got {reps}")
     keep_dir = None
     if keep_labelings is not None:
-        from pathlib import Path
-
         keep_dir = Path(keep_labelings)
         keep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -135,8 +123,6 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
             replicate_seed = derive_seed(base_seed, gi, rep)
             z_true, g = sample(params, n, replicate_seed)
             if keep_dir is not None:
-                from .io import write_labeling
-
                 write_labeling(keep_dir / f"{replicate_seed}_true.labels", z_true)
             for objective in ("ml", "icl"):
                 rows.append(
@@ -148,10 +134,10 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
     return rows
 
 
-def sweep_separation(n, k, separations, reps, cfg, base_seed=0, s2=1.0, keep_labelings=None):
+def sweep_separation(n, k, separations, reps, cfg, base_seed=0, keep_labelings=None):
     """Sample and fit over a grid of within/between separations.
 
-    Balanced communities, rho = log(n)/n, s2 fixed; s1 is solved from each
+    Balanced communities, rho = log(n)/n, s2 = 1; s1 is solved from each
     requested separation. Both objectives are fitted per replicate. Grid
     points whose edge probabilities leave (0, 1) are skipped with a warning.
     With keep_labelings set, fitted and true labelings are written there
@@ -160,24 +146,23 @@ def sweep_separation(n, k, separations, reps, cfg, base_seed=0, s2=1.0, keep_lab
     rho = math.log(n) / n
 
     def build(sep):
-        return balanced_params(k, separation_to_s1(sep, s2), s2, rho), float(sep)
+        return balanced_params(k, separation_to_s1(sep), 1.0, rho), float(sep)
 
     return _sweep_grid(n, k, separations, reps, cfg, base_seed, build, keep_labelings)
 
 
-def sweep_sparsity(n, k, rhos, reps, cfg, base_seed=0, separation=2.10, s2=1.0,
-                   keep_labelings=None):
-    """Sample and fit over a grid of sparsity scales at fixed separation."""
-    s1 = separation_to_s1(separation, s2)
+def sweep_sparsity(n, k, rhos, reps, cfg, base_seed=0, separation=2.10, keep_labelings=None):
+    """Sample and fit over a grid of sparsity scales at fixed separation, s2 = 1."""
+    s1 = separation_to_s1(separation)
 
     def build(rho):
-        return balanced_params(k, s1, s2, rho), float(separation)
+        return balanced_params(k, s1, 1.0, rho), float(separation)
 
     return _sweep_grid(n, k, rhos, reps, cfg, base_seed, build, keep_labelings)
 
 
-def objective_agreement_notes(summary, tolerance=0.1):
-    """Soft check: ML and ICL mean NMI should track within tolerance.
+def objective_agreement_notes(summary):
+    """Soft check: ML and ICL mean NMI should track within 0.1.
 
     Returns human-readable notes for grid points where they do not;
     reported by callers, never a hard failure.
@@ -190,7 +175,7 @@ def objective_agreement_notes(summary, tolerance=0.1):
         pair = by_grid[grid]
         if len(pair) == 2:
             gap = abs(pair["ml"] - pair["icl"])
-            if gap > tolerance:
+            if gap > 0.1:
                 notes.append(
                     f"note: ml and icl mean nmi differ by {gap:.3f} at grid {grid:g}"
                 )
@@ -257,32 +242,21 @@ def rows_csv(rows, include_timing=False):
 
 
 def summary_csv(summary, key="separation"):
-    lines = [f"{key},objective,mean_nmi,se_nmi,mean_misclassified,reps"]
+    names = [field.name for field in dataclasses.fields(SummaryRow)]
+    lines = [",".join([key] + names[1:])]
     for row in summary:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.grid,
-                    row.objective,
-                    row.mean_nmi,
-                    row.se_nmi,
-                    row.mean_misclassified,
-                    row.reps,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 
-def concentration_default_params(n, k=3):
-    """Balanced diagnostic model for the concentration experiment.
+def concentration_default_params(n):
+    """Balanced k=3 diagnostic model for the concentration experiment.
 
     Rates are sized so each block's deviation-to-radius ratio sits near 1.5
     at n=200 under delta=4, where the violation fraction responds most
     steeply to n.
     """
-    s_diag, s_off = 0.523, 1.047
+    k, s_diag, s_off = 3, 0.523, 1.047
     s = np.full((k, k), s_off)
     np.fill_diagonal(s, s_diag)
     return SbmParams(k=k, pi=np.full(k, 1.0 / k), s=s, rho=math.log(n) / n)
@@ -298,6 +272,8 @@ def concentration_experiment(params, n, reps, delta, base_seed=0):
     """
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ParameterError(f"delta must be finite and >= 0, got {delta}")
     radius = math.sqrt(delta * params.rho * math.log(n)) / n
     violations = 0
     worst = 0.0
@@ -325,20 +301,20 @@ def concentration_experiment(params, n, reps, delta, base_seed=0):
     )
 
 
-def deviation_budget(n, m, rho, delta=0.01):
-    """Finite-n deviation budget rho*m^2 + rho^2*m*n + delta*rho*(n + m*sqrt(n)).
+def deviation_budget(n, m, rho):
+    """Finite-n deviation budget rho*m^2 + rho^2*m*n + 0.01*rho*(n + m*sqrt(n)).
 
     The scale against which centered edge-count deviations are compared in
     the concentration diagnostic; not a bound by itself.
     """
-    return rho * m * m + rho * rho * m * n + delta * rho * (n + m * math.sqrt(n))
+    return rho * m * m + rho * rho * m * n + 0.01 * rho * (n + m * math.sqrt(n))
 
 
-def deviation_scale_diagnostic(params, n, flips, reps, base_seed=0, percentile=99.0):
+def deviation_scale_diagnostic(params, n, flips, reps, base_seed=0):
     """Fit the constant c in max_ab |W_ab| <= c * rho * m / n, reported only.
 
     Draws replicates, perturbs the true labeling by relabeling `flips`
-    nodes, and returns the percentile of the sup deviation together with
+    nodes, and returns the 99th percentile of the sup deviation together with
     the implied c and the matching finite-n budget.
     """
     sups = []
@@ -352,11 +328,11 @@ def deviation_scale_diagnostic(params, n, flips, reps, base_seed=0, percentile=9
         m = misclassification(e, z)
         w = edge_count_deviation(g, e, z, params)
         sups.append((float(np.abs(w).max()), m))
-    qs = float(np.percentile([s for s, _ in sups], percentile))
+    qs = float(np.percentile([s for s, _ in sups], 99.0))
     mean_m = float(np.mean([m for _, m in sups]))
     scale = params.rho * max(mean_m, 1.0) / n
     return {
-        "percentile": percentile,
+        "percentile": 99.0,
         "sup_deviation_percentile": qs,
         "mean_misclassification": mean_m,
         "fitted_c": qs / scale,
@@ -398,12 +374,12 @@ def _random_graph_labeling(rng, n, k, p_lo=0.1, p_hi=0.9):
     return Graph.from_edges(n, edges), Labeling(rng.integers(0, k, size=n), k)
 
 
-def _random_params(rng, k, rho=0.5):
+def _random_params(rng, k):
     pi = rng.uniform(0.2, 1.0, size=k)
     pi = pi / pi.sum()
     s = rng.uniform(0.1, 1.8, size=(k, k))
     s = (s + s.T) / 2.0
-    return SbmParams(k=k, pi=pi, s=s, rho=rho)
+    return SbmParams(k=k, pi=pi, s=s, rho=0.5)
 
 
 def _check_closed_forms(seed, cases=20, tol=1e-9):
@@ -412,10 +388,7 @@ def _check_closed_forms(seed, cases=20, tol=1e-9):
     for _ in range(cases):
         s1 = float(rng.uniform(0.05, 10.0))
         s2 = float(rng.uniform(0.05, 10.0))
-        expected2 = 0.5 * (math.sqrt(s1) - math.sqrt(s2)) ** 2
-        got2 = phase_transition_constant(balanced_params(2, s1, s2, 1e-3)).value
-        worst = max(worst, abs(got2 - expected2))
-        for k in (3, 4, 5):
+        for k in (2, 3, 4, 5):
             expected = (math.sqrt(s1) - math.sqrt(s2)) ** 2 / k
             got = phase_transition_constant(balanced_params(k, s1, s2, 1e-3)).value
             worst = max(worst, abs(got - expected))
@@ -536,6 +509,7 @@ def _check_incremental(seed, cases=20, tol=1e-9):
         g, z = _random_graph_labeling(rng, n, k, p_lo=0.2, p_hi=0.8)
         objective = "ml" if case % 2 == 0 else "icl"
         state = _GreedyState(g, k, z.labels, objective)
+        potential = state.cached_potential()
         scale = 2.0 * n * n if objective == "ml" else float(n * n)
         for i in rng.permutation(n):
             a = int(state.z[i])
@@ -545,8 +519,9 @@ def _check_incremental(seed, cases=20, tol=1e-9):
                     continue
                 delta = state.best_move(a, d, (b,))[0]
                 if delta > 0:
-                    state.apply_move(int(i), b, d, delta)
-                    err = abs(state.potential - state.full_potential()) / scale
+                    state.apply_move(int(i), b, d)
+                    potential += delta
+                    err = abs(potential - state.full_potential()) / scale
                     worst = max(worst, err)
                     break
     return VerifyCheck(

@@ -311,23 +311,22 @@ def misclassification(e, z):
     return n - best
 
 
+def _alpha_fraction(alpha):
+    """alpha snapped to the nearest rational with denominator <= 10^12."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return Fraction(alpha).limit_denominator(10**12)
+
+
 def meets_min_size(z, alpha):
     """True iff every community of z has at least alpha*n nodes.
 
-    alpha is snapped to the nearest rational with denominator <= 10^12 so the
-    comparison is exact and ties (n_a == alpha*n) count as satisfied.
+    The comparison is exact, so ties (n_a == alpha*n) count as satisfied.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    frac = Fraction(alpha).limit_denominator(10**12)
-    sizes = z.sizes()
-    threshold = frac.numerator * z.n
-    return all(int(s) * frac.denominator >= threshold for s in sizes)
+    return int(z.sizes().min()) >= min_feasible_size(z.n, alpha)
 
 
 def min_feasible_size(n, alpha):
     """Smallest integer community size satisfying the alpha*n floor."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    frac = Fraction(alpha).limit_denominator(10**12)
+    frac = _alpha_fraction(alpha)
     return -((-frac.numerator * n) // frac.denominator)

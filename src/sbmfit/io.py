@@ -16,14 +16,21 @@ from .graphs import Graph, Labeling
 RHO_MODES = ("const", "log_n_over_n", "one_over_n")
 
 
-def write_edge_list(path, g, k=0, header=True):
-    """Write a graph as a 1-based edge list, one edge per line, sorted.
+def _content_lines(path):
+    """The stripped lines of a text file, without blank and '#' comment lines."""
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line
+
+
+def write_edge_list(path, g, k=0):
+    """Write a graph as a header line ``n k``, then one sorted 1-based edge per line.
 
     When the community count is unknown, k=0 is written in the header.
     """
-    lines = []
-    if header:
-        lines.append(f"{g.n} {k}")
+    lines = [f"{g.n} {k}"]
     for i, j in g.edges():
         lines.append(f"{i + 1} {j + 1}")
     with open(path, "w") as fh:
@@ -42,16 +49,12 @@ def read_edge_list(path, header="auto"):
     edge, and one UserWarning reports how many duplicates were merged.
     """
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                i, j = map(int, line.split())
-            except ValueError:
-                raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
-            rows.append((i, j))
+    for line in _content_lines(path):
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
+            raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
+        rows.append((i, j))
     if not rows:
         raise ParameterError(f"empty edge list file {path!r}")
 
@@ -85,15 +88,11 @@ def write_labeling(path, z):
 def read_labeling(path, k=None):
     """Read a labeling file; k defaults to the largest label seen."""
     labels = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                labels.append(int(line) - 1)
-            except ValueError:
-                raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
+    for line in _content_lines(path):
+        try:
+            labels.append(int(line) - 1)
+        except ValueError:
+            raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
     if not labels:
         raise ParameterError(f"empty labeling file {path!r}")
     arr = np.asarray(labels, dtype=np.int64)
@@ -137,20 +136,16 @@ def read_rates(path):
     """Read just (k, pi, S) from a parameter file, ignoring sparsity keys."""
     entries = {}
     s_rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed parameter line: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "S":
-                s_rows.append(_numbers("S", value))
-            else:
-                entries[key] = value
+    for line in _content_lines(path):
+        if "=" not in line:
+            raise ParameterError(f"malformed parameter line: {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key == "S":
+            s_rows.append(_numbers("S", value))
+        else:
+            entries[key] = value
 
     if "k" not in entries:
         raise ParameterError("parameter file must set k")

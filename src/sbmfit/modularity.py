@@ -37,17 +37,12 @@ def icl_from_counters(counters):
     """Integrated likelihood objective from precomputed block counters."""
     ntil = counters.tilde_pair_counts()
     otil = counters.tilde_edge_counts()
-    k = counters.k
+    # Upper-triangle blocks that hold pairs, row by row.
+    upper = np.triu(ntil > 0)
+    nt, ot = ntil[upper], otil[upper]
+    terms = betaln(ot + 0.5, nt - ot + 0.5) - LOG_BETA_HALF
+    total = float(np.sort(terms).sum())
     n = int(counters.sizes.sum())
-    terms = []
-    for a in range(k):
-        for b in range(a, k):
-            nt = int(ntil[a, b])
-            if nt == 0:
-                continue
-            ot = int(otil[a, b])
-            terms.append(float(betaln(ot + 0.5, nt - ot + 0.5)) - LOG_BETA_HALF)
-    total = float(np.sort(np.asarray(terms)).sum()) if terms else 0.0
     return total / (n * n)
 
 

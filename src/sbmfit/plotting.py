@@ -21,7 +21,7 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def sweep_plot_svg(summary, x_label, y_label="mean NMI", title=""):
+def sweep_plot_svg(summary, x_label, title=""):
     """Render summary rows (SummaryRow objects) into an SVG string."""
     if not summary:
         raise ParameterError("nothing to plot")
@@ -69,7 +69,7 @@ def sweep_plot_svg(summary, x_label, y_label="mean NMI", title=""):
     )
     parts.append(
         f'<text x="16" y="{_HEIGHT // 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">mean NMI</text>'
     )
     if title:
         parts.append(

@@ -2,14 +2,15 @@
 
 Both searches run on one move kernel, _GreedyState: integer block
 counters, the current objective term of every block pair and, per node,
-the count of its neighbours in each community. A greedy node visit is one
-best_move call that scores every target community: the node's old block
-after the removal is one new term for all targets, and each target adds
-O(k) more, so a visit costs O(k^2) terms; an applied move costs
-O(degree + k) to update the tables. The x*log(x) and log-gamma values
-behind the terms are memoized per integer argument for the life of the
-process, so memory grows with the distinct counts a search visits, not
-with n^2.
+the count of its neighbours in each community. It keeps no running total;
+a search sums the cached terms when it needs the objective. A greedy node
+visit is one best_move call that scores every target community: the
+node's old block after the removal is one new term for all targets, and
+each target adds O(k) more, so a visit costs O(k^2) terms; an applied
+move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
+values behind the terms are memoized per integer argument for the life of
+the process, so memory grows with the distinct counts a search visits,
+not with n^2.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale. The restarts of a large enough fit run on
@@ -34,13 +35,12 @@ import signal
 import threading
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
-from .graphs import Labeling, block_counters, meets_min_size, min_feasible_size
+from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
 from .modularity import (
     LOG_BETA_HALF,
     OBJECTIVES,
@@ -86,8 +86,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _alpha_fraction(self.alpha)  # ValueError outside (0, 1)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_sweeps < 1:
@@ -96,8 +95,7 @@ class SearchConfig:
     def check_feasible(self, k):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        frac = Fraction(self.alpha).limit_denominator(10**12)
-        if frac * k > 1:
+        if _alpha_fraction(self.alpha) * k > 1:
             raise InfeasibleError(
                 f"alpha={self.alpha} with k={k} leaves no feasible labeling"
             )
@@ -194,12 +192,13 @@ def _f_icl(o, m):
 
 
 class _GreedyState:
-    """Mutable labeling with integer block counters and a running potential.
+    """Mutable labeling with integer block counters and cached block terms.
 
     The potential is the unnormalized objective: sum over ordered blocks of
     x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
-    terms for icl. Normalization does not affect the argmax. The current
-    term of every block pair is cached in F, so best_move evaluates only
+    terms for icl. Normalization does not affect the argmax. The state keeps
+    no running sum of it: the current term of every block pair is cached in
+    F, from which cached_potential sums it, and best_move evaluates only
     the terms of the blocks after a move, and shares the removal term of
     the node's own block among its targets. The labels z are a plain list,
     and table[i][c] counts the neighbours of node i in community c, an
@@ -231,7 +230,6 @@ class _GreedyState:
         self._others = [[[c for c in range(k) if c != a and c != b] for b in range(k)]
                         for a in range(k)]
         self.F = self.block_terms()
-        self.potential = self.cached_potential()
 
     def _term(self, a, b):
         s, o = self.sizes, self.o
@@ -246,16 +244,12 @@ class _GreedyState:
         return [[self._term(a, b) for b in range(self.k)] for a in range(self.k)]
 
     def _sum_terms(self, t):
-        k = self.k
+        # ml sums all ordered blocks, icl the upper triangle, row by row.
+        k, icl = self.k, self.objective != "ml"
         total = 0.0
-        if self.objective == "ml":
-            for a in range(k):
-                for b in range(k):
-                    total += t[a][b]
-        else:
-            for a in range(k):
-                for b in range(a, k):
-                    total += t[a][b]
+        for a in range(k):
+            for b in range(a if icl else 0, k):
+                total += t[a][b]
         return total
 
     def full_potential(self):
@@ -265,8 +259,8 @@ class _GreedyState:
     def cached_potential(self):
         """Potential summed from the cached F in the order of full_potential.
 
-        F depends only on the integer counters, so unlike the running
-        potential this sum carries no rounding from earlier moves.
+        F depends only on the integer counters, so this sum carries no
+        rounding from earlier moves.
         """
         return self._sum_terms(self.F)
 
@@ -377,7 +371,7 @@ class _GreedyState:
                     best, best_b = delta, b
         return best, best_b
 
-    def apply_move(self, i, b, d, delta):
+    def apply_move(self, i, b, d):
         a = self.z[i]
         o, F = self.o, self.F
         for c in range(self.k):
@@ -390,7 +384,6 @@ class _GreedyState:
         self.sizes[a] -= 1
         self.sizes[b] += 1
         self.z[i] = b
-        self.potential += delta
         term = self._term
         # Block (b, a) is block (a, b): 2k - 1 distinct terms change.
         for c in range(self.k):
@@ -417,16 +410,26 @@ def _random_feasible_labels(rng, n, k, min_size):
     return labels
 
 
+def _scorer(objective):
+    # Looked up at call time: callers may patch the module-level scorers.
+    return ml_from_counters if objective == "ml" else icl_from_counters
+
+
+def _min_size(n, k, cfg):
+    """Smallest feasible community size; InfeasibleError if k of them exceed n."""
+    min_size = min_feasible_size(n, cfg.alpha)
+    if k * min_size > n:
+        raise InfeasibleError(
+            f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {n}"
+        )
+    return min_size
+
+
 def _finalize(g, labels, k, cfg, sweeps, restart_index, converged):
     lab = Labeling(labels, k).canonical()
-    counters = block_counters(g, lab)
-    if cfg.objective == "ml":
-        value = ml_from_counters(counters)
-    else:
-        value = icl_from_counters(counters)
     return FitResult(
         labeling=lab,
-        objective_value=value,
+        objective_value=_scorer(cfg.objective)(block_counters(g, lab)),
         objective=cfg.objective,
         sweeps_used=sweeps,
         restart_index=restart_index,
@@ -458,7 +461,7 @@ def _run_restart(g, k, cfg, min_size, restart):
             d = table[i]
             delta, b = best_move(a, d, targets[a])
             if delta > _MOVE_EPS:
-                apply_move(i, b, d, delta)
+                apply_move(i, b, d)
                 improved = True
         sweeps += 1
         if not improved:
@@ -635,11 +638,7 @@ def greedy_argmax(g, k, cfg):
     _FORK_MIN_WORK run in-process, where a fork would cost more than it saves.
     """
     cfg.check_feasible(k)
-    min_size = min_feasible_size(g.n, cfg.alpha)
-    if k * min_size > g.n:
-        raise InfeasibleError(
-            f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {g.n}"
-        )
+    min_size = _min_size(g.n, k, cfg)
     workers = _restart_workers(g.n, cfg.restarts)
     if workers > 1:
         results = _parallel_restarts(g, k, cfg, min_size, workers)
@@ -673,16 +672,10 @@ def exact_argmax(g, k, cfg):
             f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
     n = g.n
-    min_size = min_feasible_size(n, cfg.alpha)
-    if k * min_size > n:
-        raise InfeasibleError(
-            f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {n}"
-        )
-    score = ml_from_counters if cfg.objective == "ml" else icl_from_counters
+    min_size = _min_size(n, k, cfg)
+    score = _scorer(cfg.objective)
     state = _GreedyState(g, k, np.zeros(n, dtype=np.int64), cfg.objective)
     z, sizes, table = state.z, state.sizes, state.table
-    # Moves pass a zero delta: the search reads the cached terms, never the
-    # running potential.
     apply_move, cached_potential = state.apply_move, state.cached_potential
     best_value = best_potential = best_labels = None
 
@@ -706,10 +699,10 @@ def exact_argmax(g, k, cfg):
         d = table[i]
         top = min(used + 1, k)
         for lab in range(1, top):
-            apply_move(i, lab, d, 0.0)
+            apply_move(i, lab, d)
             visit(i + 1, max(used, lab + 1))
         if top > 1:
-            apply_move(i, 0, d, 0.0)
+            apply_move(i, 0, d)
 
     visit(1, 1)
     if best_labels is None:

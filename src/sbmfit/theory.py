@@ -50,9 +50,10 @@ def _pair_objective(pi, s, b, bp):
     return f
 
 
-def _ternary_max(f, lo=0.0, hi=1.0, iterations=_TERNARY_ITERATIONS):
-    """Maximize a concave function on [lo, hi] by ternary search."""
-    for _ in range(iterations):
+def _ternary_max(f):
+    """Maximize a concave function on [0, 1] by ternary search."""
+    lo, hi = 0.0, 1.0
+    for _ in range(_TERNARY_ITERATIONS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if f(m1) < f(m2):

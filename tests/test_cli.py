@@ -280,3 +280,30 @@ def test_internal_value_error_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr("sbmfit.search.greedy_argmax", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(_fit_args(tmp_path, "4 2\n1 2\n3 4\n"))
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1"])
+def test_concentration_invalid_delta_exit_two(capsys, delta):
+    assert main(["concentration", "--n-list", "50", "--reps", "3", "--delta", delta]) == 2
+    assert capsys.readouterr().err.startswith("error: delta")
+
+
+@pytest.mark.parametrize("argv", [["sweep-separation", "--seps", "2"],
+                                  ["sweep-sparsity", "--rhos", "0.1"]])
+def test_sweep_zero_reps_exit_two_before_writing(tmp_path, capsys, argv):
+    out, plot = tmp_path / "rows.csv", tmp_path / "plot.svg"
+    assert main([*argv, "--reps", "0", "--out", str(out), "--plot", str(plot)]) == 2
+    assert capsys.readouterr().err.startswith("error: reps")
+    assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "fit", "eval", "constant", "sweep-separation",
+                                     "sweep-sparsity", "concentration", "verify"])
+def test_subcommand_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: sbmfit {command}")
+    if command == "concentration":
+        assert "k=3" in out

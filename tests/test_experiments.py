@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sbmfit.errors import ParameterError
 from sbmfit.experiments import (
     SweepRow,
     balanced_params,
@@ -117,6 +118,14 @@ class TestConcentration:
         assert report.w_self_max == 0.0
         assert 0.0 <= report.violation_fraction <= 1.0
         assert report.replicates == 30
+
+    def test_delta_must_be_finite_and_nonnegative(self):
+        params = balanced_params(2, 3.0, 1.0, 0.05)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ParameterError, match="delta"):
+                concentration_experiment(params, 40, 2, delta=bad)
+        report = concentration_experiment(params, 40, 2, delta=0.0)
+        assert report.theoretical_bound == 0.0 and report.violation_fraction == 1.0
 
     def test_deviation_scale_diagnostic(self):
         params = balanced_params(2, 3.0, 1.0, 0.08)

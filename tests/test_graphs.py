@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sbmfit import (
     Graph,
@@ -290,6 +291,8 @@ class TestMinSize:
         z = Labeling([0] * 3 + [1] * 7, 2)
         assert meets_min_size(z, 0.3)
         assert not meets_min_size(z, 0.31)
+        assert meets_min_size(Labeling([0] * 10 + [1] * 190, 2), 0.05)
+        assert not meets_min_size(Labeling([0] * 9 + [1] * 191, 2), 0.05)
 
     def test_alpha_range_validated(self):
         z = Labeling([0, 1], 2)
@@ -301,6 +304,25 @@ class TestMinSize:
         assert min_feasible_size(10, 0.2) == 2
         assert min_feasible_size(10, 0.25) == 3
         assert min_feasible_size(10, 0.3) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(st.sampled_from([0.05, 0.1, 0.3, 1 / 3]),
+                           st.floats(0.001, 0.999)),
+           n=st.integers(2, 400), k=st.integers(2, 5), offset=st.integers(-1, 1))
+    @example(alpha=0.05, n=200, k=2, offset=0)
+    @example(alpha=0.05, n=200, k=2, offset=-1)
+    @example(alpha=0.1, n=30, k=3, offset=0)
+    @example(alpha=0.3, n=10, k=2, offset=0)
+    @example(alpha=1 / 3, n=9, k=3, offset=0)
+    def test_min_size_rule_matches_exact_rational(self, alpha, n, k, offset):
+        # The smallest community sits at, just below or just above alpha * n,
+        # so exact ties are drawn often; the other nodes share the rest.
+        small = min(max(round(alpha * n) + offset, 0), n)
+        z = Labeling([0] * small + [1 + i % (k - 1) for i in range(n - small)], k)
+        frac = Fraction(alpha).limit_denominator(10**12)
+        cross = all(int(size) * frac.denominator >= frac.numerator * n for size in z.sizes())
+        assert meets_min_size(z, alpha) is cross
+        assert cross == (min(z.sizes()) >= min_feasible_size(z.n, alpha))
 
 
 class TestLabeling:

@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln
 
 from sbmfit import (
     Graph,
     Labeling,
+    block_counters,
     integrated_likelihood_modularity,
     likelihood_modularity,
     modularity_gap,
 )
+from sbmfit.modularity import LOG_BETA_HALF, icl_from_counters
 
 from conftest import random_graph, random_labeling
 
@@ -136,3 +140,29 @@ class TestModularityGap:
             z = random_labeling(rng, n, k)
             gap, bound = modularity_gap(g, z)
             assert 0.0 <= gap <= bound
+
+
+def icl_scalar_reference(counters):
+    """icl_from_counters as a scalar double loop over the upper-triangle blocks."""
+    ntil = counters.tilde_pair_counts()
+    otil = counters.tilde_edge_counts()
+    terms = []
+    for a in range(counters.k):
+        for b in range(a, counters.k):
+            nt, ot = int(ntil[a, b]), int(otil[a, b])
+            if nt:
+                terms.append(float(betaln(ot + 0.5, nt - ot + 0.5)) - LOG_BETA_HALF)
+    total = float(np.sort(np.asarray(terms)).sum()) if terms else 0.0
+    n = int(counters.sizes.sum())
+    return total / (n * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 40), k=st.integers(1, 6),
+       p=st.floats(0.0, 1.0))
+def test_icl_matches_scalar_reference_bitwise(seed, n, k, p):
+    # Small n against k up to 6 leaves communities empty or single, so blocks
+    # with no pairs are drawn often.
+    rng = np.random.default_rng(seed)
+    c = block_counters(random_graph(rng, n, p=p), random_labeling(rng, n, k))
+    assert icl_from_counters(c).hex() == icl_scalar_reference(c).hex()
