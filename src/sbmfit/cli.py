@@ -224,16 +224,22 @@ def _write_sweep_outputs(rows, args, key):
     from .experiments import objective_agreement_notes, rows_csv, summarize, summary_csv
     from .plotting import sweep_plot_svg
 
-    with open(args.out, "w") as fh:
-        fh.write(rows_csv(rows, include_timing=args.timing))
+    if not rows:
+        raise ParameterError("no grid point was fitted: the grid is empty or every point "
+                             "was skipped")
+    # Every output is rendered before any file is opened, so a failure
+    # leaves no partial output behind.
     summary = summarize(rows, key=key)
+    outputs = [(args.out, rows_csv(rows, include_timing=args.timing))]
     if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(summary_csv(summary, key=key))
+        outputs.append((args.summary, summary_csv(summary, key=key)))
     if args.plot:
         label = "separation (sqrt(s1)-sqrt(s2))^2" if key == "separation" else "rho"
-        with open(args.plot, "w") as fh:
-            fh.write(sweep_plot_svg(summary, x_label=label, title=f"n={args.n}, k={args.k}"))
+        outputs.append((args.plot, sweep_plot_svg(summary, x_label=label,
+                                                  title=f"n={args.n}, k={args.k}")))
+    for path, text in outputs:
+        with open(path, "w") as fh:
+            fh.write(text)
     for row in summary:
         print(
             f"{key}={row.grid:g} {row.objective}: mean nmi {row.mean_nmi:.4f} "
@@ -274,6 +280,8 @@ def _cmd_concentration(args):
         deviation_scale_diagnostic,
     )
 
+    if not args.n_list:
+        raise ParameterError("--n-list needs at least one n")
     reports = []
     for n in args.n_list:
         if args.params:

@@ -106,10 +106,7 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
         raise ParameterError("sweeps need at least two communities")
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
-    keep_dir = None
-    if keep_labelings is not None:
-        keep_dir = Path(keep_labelings)
-        keep_dir.mkdir(parents=True, exist_ok=True)
+    keep_dir = None if keep_labelings is None else Path(keep_labelings)
     rows = []
     for gi, grid_value in enumerate(grid):
         try:
@@ -123,6 +120,7 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
             replicate_seed = derive_seed(base_seed, gi, rep)
             z_true, g = sample(params, n, replicate_seed)
             if keep_dir is not None:
+                keep_dir.mkdir(parents=True, exist_ok=True)
                 write_labeling(keep_dir / f"{replicate_seed}_true.labels", z_true)
             for objective in ("ml", "icl"):
                 rows.append(

@@ -1,6 +1,6 @@
 """Maximizers of the two objectives over the constrained label space.
 
-Both searches run on one move kernel, _GreedyState: integer block
+Greedy search runs on one move kernel, _GreedyState: integer block
 counters, the current objective term of every block pair and, per node,
 the count of its neighbours in each community. It keeps no running total;
 a search sums the cached terms when it needs the objective. A greedy node
@@ -19,10 +19,10 @@ restart indices from a shared counter, and the parent reduces the results
 in restart order with the serial loop's strict comparison, so a fit is the
 same for any worker count.
 
-Exact search, for toy scale, walks the canonical labelings depth first
-with apply/undo moves on one state, so a labeling costs about two moves
-instead of a full recount. It sums each leaf's cached block terms and
-re-scores only the leaves that come near the best so far with the
+Exact search, for toy scale, needs no move kernel: it scores the
+canonical labelings in lexicographic order, a bounded chunk of them per
+numpy pass, with the same block terms computed by array ufuncs. It
+re-scores only the labelings that come near the best so far with the
 vectorized objective of sbmfit.modularity, whose values alone decide the
 winner.
 """
@@ -37,7 +37,7 @@ import traceback
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
@@ -64,13 +64,18 @@ _FORK_MIN_WORK = 1000
 # whether a child died holding it; a live holder writes it back within
 # microseconds.
 _CLAIM_POLL_S = 0.1
-# Exact search re-scores a leaf whose cached-term potential is within this
-# relative distance of the best one, or above it. A leaf that beats the best
-# vectorized value has at least the best potential in exact arithmetic; the
-# two sums round differently by about 1e-16 of the largest block term. A
-# nonzero potential is at least log(2) in size, so the window is far wider
-# than the rounding; no potential exceeds zero, since every block term is <= 0.
+# Exact search re-scores a labeling whose potential, the sum of its block
+# terms, is within this relative distance of the best one, or above it. A
+# labeling that beats the best vectorized value has at least the best
+# potential in exact arithmetic; the two sums round differently by about
+# 1e-16 of the largest block term. A nonzero potential is at least log(2)
+# in size, so the window is far wider than the rounding; no potential
+# exceeds zero, since every block term is <= 0.
 _RESCORE_TOL = 1e-9
+# Exact search scores the labelings in chunks of at most this many elements,
+# counting n labels, m edge pair codes and k^2 block counts per labeling, so
+# no chunk array exceeds 256 KB unless a single labeling does.
+_EXACT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -535,42 +540,51 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
     are killed and every child is reaped before the exception propagates.
 
     A child that dies between reading and writing back the record takes the
-    counter with it, and this process holds the write end itself, so it
-    waits for the record with a timeout and checks its children whenever
-    the wait runs out: a child that was killed or exited with an error
-    status raises RuntimeError. A clean exit means a child read the counter
-    past the last restart, so no claim is left and the wait ends. Results
-    are read from whichever child pipe is ready, so a dead child is noticed
-    while another one still runs.
+    counter with it, and this process holds the write end itself, so no
+    claimer ever blocks on the record: the read end is non-blocking, and a
+    claimer that finds the pipe empty waits for it with select and a
+    timeout, then reads again, since another claimer may take the record
+    first. Whenever this process's wait runs out it checks its children: a
+    child that was killed or exited with an error status raises
+    RuntimeError. A clean exit means a child read the counter past the last
+    restart, so no claim is left and the claims end. Results are read from
+    whichever child pipe is ready, so a dead child is noticed while another
+    one still runs.
     """
     claim_r, claim_w = os.pipe()
+    os.set_blocking(claim_r, False)
     os.write(claim_w, (0).to_bytes(8, "little"))
 
-    def claimed(wait):
-        while wait():
-            restart = int.from_bytes(os.read(claim_r, 8), "little")
+    def claimed(spent):
+        while True:
+            try:
+                record = os.read(claim_r, 8)
+            except BlockingIOError:
+                if not select.select([claim_r], [], [], _CLAIM_POLL_S)[0] and spent():
+                    return
+                continue
+            restart = int.from_bytes(record, "little")
             os.write(claim_w, (restart + 1).to_bytes(8, "little"))
             if restart >= cfg.restarts:
                 return
             yield restart
 
-    def run(wait=lambda: True):
-        return [_run_restart(g, k, cfg, min_size, r) for r in claimed(wait)]
+    def run(spent=lambda: False):
+        return [_run_restart(g, k, cfg, min_size, r) for r in claimed(spent)]
 
-    def record_or_spent():
-        """True once the record is readable, False if a child spent the counter."""
-        while not select.select([claim_r], [], [], _CLAIM_POLL_S)[0]:
-            for pid, _ in children:
-                # WNOWAIT leaves the child to be reaped below.
-                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                if info is None:
-                    continue
-                if info.si_code != os.CLD_EXITED or info.si_status != 0:
-                    raise RuntimeError(f"restart worker {pid} died while restarts were "
-                                       f"being claimed (code {info.si_code}, "
-                                       f"status {info.si_status})")
-                return False
-        return True
+    def children_spent():
+        """True if a child spent the counter; raises if one died."""
+        for pid, _ in children:
+            # WNOWAIT leaves the child to be reaped below.
+            info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            if info is None:
+                continue
+            if info.si_code != os.CLD_EXITED or info.si_status != 0:
+                raise RuntimeError(f"restart worker {pid} died while restarts were "
+                                   f"being claimed (code {info.si_code}, "
+                                   f"status {info.si_status})")
+            return True
+        return False
 
     children = []  # (pid, read end of its result pipe), not yet reaped
     try:
@@ -585,7 +599,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(result_w)
             children.append((pid, result_r))
-        results = run(record_or_spent)
+        results = run(children_spent)
         received = {result_r: [] for _, result_r in children}
         while children:
             ready = select.select([result_r for _, result_r in children], [], [])[0]
@@ -648,22 +662,85 @@ def greedy_argmax(g, k, cfg):
     return _finalize(g, labels, k, cfg, sweeps, restart, converged)
 
 
+def _value_counts(x, values):
+    """Per row of x, how many entries equal each of 0 .. values - 1."""
+    return np.stack([np.count_nonzero(x == v, axis=1) for v in range(values)], axis=1)
+
+
+def _canonical_labelings(n, k, min_size, rows):
+    """Feasible labelings of n nodes in first-occurrence canonical form.
+
+    Yields (z, sizes) chunks in lexicographic order: z holds one labeling
+    per int8 row, at most `rows` of them, and sizes their community sizes.
+    The candidates are the base-k numerals 0 .. k^(n-1) - 1 written with n
+    digits, most significant first, so the first digit is 0 and numeric
+    order is lexicographic order. A numeral is canonical when each digit is
+    at most one above the largest digit before it, and feasible when each
+    of the k labels holds at least min_size nodes.
+    """
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    count = k ** (n - 1)
+    for start in range(0, count, rows):
+        codes = np.arange(start, min(start + rows, count), dtype=np.int32)
+        z = (codes[:, None] // place % k).astype(np.int8)
+        top = np.maximum.accumulate(z, axis=1)
+        z = z[(z[:, 1:] <= top[:, :-1] + 1).all(axis=1)]
+        sizes = _value_counts(z, k)
+        feasible = sizes.min(axis=1) >= min_size
+        yield z[feasible], sizes[feasible]
+
+
+def _potentials(z, sizes, src, dst, objective):
+    """Potential of each labeling row of z, given its community sizes.
+
+    The block counts of a row are the counts of its label pairs
+    (z[i], z[j]) over the edges i < j listed by src and dst: block a <= b
+    holds the pairs (a, b) and (b, a), so its endpoint count o_ab counts a
+    within-block edge twice, as block_counters does. The potential sums
+    the block terms of _f_ml or _f_icl over the blocks a <= b, an ml term
+    twice off the diagonal, computed by the ufuncs behind their memos:
+    xlogy(x, x) for ml and gammaln for icl. The pair codes z[i] * k + z[j]
+    fit in int8: a k >= 2 that passes the feasibility check and the guard
+    has k <= n and k^n <= 2 * 10^7, so k <= 8. In-place updates keep few
+    chunk-sized arrays alive at once.
+    """
+    k = sizes.shape[1]
+    a, b = np.triu_indices(k)
+    same = a == b
+    pairs = _value_counts(z[:, src] * k + z[:, dst], k * k)
+    o = pairs[:, a * k + b] + pairs[:, b * k + a]
+    m = sizes[:, a] * (sizes[:, b] - same)
+    if objective == "ml":
+        terms = xlogy(o, o)
+        terms -= xlogy(m, m)
+        np.subtract(m, o, out=o)
+        terms += xlogy(o, o)
+        terms *= 2.0 - same
+    else:
+        # The integrated likelihood halves the diagonal counters.
+        o //= 1 + same
+        m //= 1 + same
+        terms = gammaln(o + 0.5)
+        terms -= gammaln(m + 1.0)
+        np.subtract(m, o, out=o)
+        terms += gammaln(o + 0.5)
+        terms -= LOG_BETA_HALF
+    return terms.sum(axis=1)
+
+
 def exact_argmax(g, k, cfg):
     """Global maximizer by exhaustive enumeration of canonical labelings.
 
     Refuses when k^n exceeds the enumeration guard. The labelings in
-    first-occurrence canonical form are visited depth first, in
-    lexicographic order, on one _GreedyState that starts with every node
-    in community 0: node i steps through the labels 0 .. min(used + 1, k) - 1
-    by single-node moves, exploring the subtree under each, and moves back
-    to 0 after the last one. A labeling thus costs about two O(k + degree)
-    moves instead of a recount.
+    first-occurrence canonical form are scored in lexicographic order, one
+    chunk at a time, by numpy (see _canonical_labelings and _potentials).
+    A chunk holds at most _EXACT_CHUNK // (n + m + k^2) labelings, so
+    memory stays bounded however large the label space.
 
-    A feasible leaf's potential is the sum of its cached block terms. A
-    leaf whose potential comes within a relative _RESCORE_TOL of the best
-    one, or above it, is re-scored from block_counters by the vectorized
-    objective, and only those values are compared. Ties in that value
-    keep the lexicographically smallest canonical labeling.
+    A labeling whose potential comes within a relative _RESCORE_TOL of the
+    best one so far, or above it, is re-scored from block_counters by the
+    vectorized objective, and only those values are compared. Ties in that
+    value keep the lexicographically smallest canonical labeling.
     """
     cfg.check_feasible(k)
     space = k**g.n
@@ -674,37 +751,25 @@ def exact_argmax(g, k, cfg):
     n = g.n
     min_size = _min_size(n, k, cfg)
     score = _scorer(cfg.objective)
-    state = _GreedyState(g, k, np.zeros(n, dtype=np.int64), cfg.objective)
-    z, sizes, table = state.z, state.sizes, state.table
-    apply_move, cached_potential = state.apply_move, state.cached_potential
-    best_value = best_potential = best_labels = None
-
-    def leaf():
-        nonlocal best_value, best_potential, best_labels
-        if min(sizes) < min_size:
-            return
-        potential = cached_potential()
-        if (best_potential is not None
-                and potential < best_potential - _RESCORE_TOL * abs(best_potential)):
-            return
-        value = score(block_counters(g, Labeling(z, k)))
-        if best_value is None or value > best_value:
-            best_value, best_potential, best_labels = value, potential, z.copy()
-
-    def visit(i, used):
-        if i == n:
-            leaf()
-            return
-        visit(i + 1, used)
-        d = table[i]
-        top = min(used + 1, k)
-        for lab in range(1, top):
-            apply_move(i, lab, d)
-            visit(i + 1, max(used, lab + 1))
-        if top > 1:
-            apply_move(i, 0, d)
-
-    visit(1, 1)
+    src = np.repeat(np.arange(n), g.degrees())
+    once = src < g.indices
+    src, dst = src[once], g.indices[once]
+    rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
+    best_value = best_labels = None
+    floor = -math.inf
+    for z, sizes in _canonical_labelings(n, k, min_size, rows):
+        potentials = _potentials(z, sizes, src, dst, cfg.objective)
+        near = np.flatnonzero(potentials >= floor)
+        j = 0
+        while j < len(near):
+            r = near[j]
+            j += 1
+            value = score(block_counters(g, Labeling(z[r], k)))
+            if best_value is None or value > best_value:
+                best_value, best_labels = value, z[r].copy()
+                potential = float(potentials[r])
+                floor = potential - _RESCORE_TOL * abs(potential)
+                near, j = r + 1 + np.flatnonzero(potentials[r + 1:] >= floor), 0
     if best_labels is None:
         raise InfeasibleError(
             f"no labeling of {n} nodes into {k} communities meets alpha={cfg.alpha}"

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import sbmfit
 from sbmfit.cli import main
+from sbmfit.errors import ParameterError
 
 
 PARAMS_TEXT = "k = 2\npi = 0.5, 0.5\nS = 9.0, 1.0\nS = 1.0, 9.0\nrho_mode = log_n_over_n\n"
@@ -295,6 +297,39 @@ def test_sweep_zero_reps_exit_two_before_writing(tmp_path, capsys, argv):
     assert main([*argv, "--reps", "0", "--out", str(out), "--plot", str(plot)]) == 2
     assert capsys.readouterr().err.startswith("error: reps")
     assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep-separation", "--seps", ""],
+                                  ["sweep-sparsity", "--rhos", ""],
+                                  ["sweep-separation", "--seps", "400"],
+                                  ["sweep-sparsity", "--rhos", "5,9"]])
+def test_sweep_without_fitted_points_exit_two_before_writing(tmp_path, capsys, argv):
+    # An empty grid, or one whose every point is skipped with a warning.
+    paths = [tmp_path / name for name in ("rows.csv", "summary.csv", "plot.svg", "keep")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rc = main([*argv, "--n", "20", "--reps", "1", "--out", str(paths[0]),
+                   "--summary", str(paths[1]), "--plot", str(paths[2]),
+                   "--keep-labelings", str(paths[3])])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: no grid point was fitted")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_plot_writes_nothing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ParameterError("cannot plot")
+
+    monkeypatch.setattr("sbmfit.plotting.sweep_plot_svg", refuse)
+    out, plot = tmp_path / "rows.csv", tmp_path / "plot.svg"
+    assert main(["sweep-separation", "--seps", "2", "--n", "20", "--reps", "1",
+                 "--restarts", "2", "--out", str(out), "--plot", str(plot)]) == 2
+    assert not out.exists() and not plot.exists()
+
+
+def test_concentration_empty_n_list_exit_two(capsys):
+    assert main(["concentration", "--n-list", "", "--reps", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: --n-list")
 
 
 @pytest.mark.parametrize("command", ["sample", "fit", "eval", "constant", "sweep-separation",

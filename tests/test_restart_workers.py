@@ -1,6 +1,8 @@
 """Greedy restarts shared with forked workers give the serial fit."""
 
+import contextlib
 import os
+import select
 import signal
 import threading
 import time
@@ -50,6 +52,23 @@ def wait_for(path, timeout=30.0):
         if time.monotonic() > deadline:
             raise AssertionError(f"{path} never appeared")
         time.sleep(0.005)
+
+
+@contextlib.contextmanager
+def hard_timeout(seconds):
+    """Raise TimeoutError in this process if the block runs longer than seconds,
+    even from inside a blocking system call."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def small_graph():
@@ -209,6 +228,58 @@ class TestFailures:
         with pytest.raises(RuntimeError, match="died while restarts were being claimed"):
             greedy_argmax(small_graph(), 2, SearchConfig(restarts=4))
         assert time.monotonic() - start < 10
+        assert_no_children()
+
+    def test_child_takes_the_record_between_select_and_read(self, tmp_path, monkeypatch):
+        # select reports the record readable to this process, then the
+        # child reads it and dies before this process does: the claim must
+        # end in RuntimeError, not block on the empty pipe.
+        force_workers(monkeypatch, 2)
+        parent = os.getpid()
+        holding, selecting, go = (tmp_path / name for name in ("holding", "selecting", "go"))
+        pids, reads = [], []
+        real_fork, real_read, real_select = os.fork, os.read, select.select
+        run_restart = search._run_restart
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def read(fd, size):
+            data = real_read(fd, size)
+            if os.getpid() != parent:
+                reads.append(1)  # the child's own copy of the list
+                if len(reads) == 1:
+                    holding.touch()
+                    wait_for(selecting)  # the record is out until this process waits
+                else:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return data
+
+        def select_(rlist, wlist, xlist, timeout=None):
+            if os.getpid() != parent or go.exists():
+                return real_select(rlist, wlist, xlist, timeout)
+            selecting.touch()
+            ready = real_select(rlist, wlist, xlist, timeout)
+            if ready[0]:
+                go.touch()
+                os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+            return ready
+
+        def ordered(g, k, cfg, min_size, restart):
+            wait_for(holding if os.getpid() == parent else go)
+            return run_restart(g, k, cfg, min_size, restart)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(select, "select", select_)
+        monkeypatch.setattr(search, "_run_restart", ordered)
+        with hard_timeout(20):
+            with pytest.raises(RuntimeError, match="died while restarts were being claimed"):
+                greedy_argmax(small_graph(), 2, SearchConfig(restarts=4))
+        assert go.exists()
         assert_no_children()
 
     def test_dead_child_noticed_while_another_runs(self, tmp_path, monkeypatch):

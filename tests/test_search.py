@@ -1,6 +1,7 @@
 import itertools
 import math
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,7 +389,7 @@ def tie_heavy_graph(kind, n, rng):
 
 
 class TestExactReferenceOracle:
-    """Depth-first apply/undo enumeration against one recount per labeling."""
+    """Chunked batch enumeration against one recount per labeling."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32), n=st.integers(1, 9), k=st.integers(1, 3),
@@ -409,6 +410,26 @@ class TestExactReferenceOracle:
                 exact_argmax(g, k, cfg)
             return
         assert_same_fit(exact_argmax(g, k, cfg), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 9), k=st.integers(1, 3),
+           objective=st.sampled_from(["ml", "icl"]),
+           kind=st.sampled_from(["random", "empty", "complete", "two_cliques", "star"]),
+           slack=st.sampled_from([0.05, 0.3, 0.9]), rows=st.integers(1, 7))
+    def test_small_chunks_equal_reference(self, seed, n, k, objective, kind, slack, rows):
+        # A budget of a few labelings per chunk puts chunk boundaries all
+        # through the enumeration, between a best labeling and the near
+        # ties after it.
+        rng = np.random.default_rng(seed)
+        g = tie_heavy_graph(kind, n, rng)
+        cfg = SearchConfig(objective=objective, alpha=slack / k, restarts=1)
+        try:
+            want = reference_exact_argmax(g, k, cfg)
+        except (InfeasibleError, SearchSpaceError):
+            return
+        budget = rows * (n + g.edge_count + k * k)
+        with mock.patch.object(search, "_EXACT_CHUNK", budget):
+            assert_same_fit(exact_argmax(g, k, cfg), want)
 
     @pytest.mark.parametrize("n,k,alpha,error", [
         (40, 3, 0.1, SearchSpaceError),
@@ -448,8 +469,9 @@ class TestExactReferenceOracle:
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     def test_few_recounts_at_n10(self, monkeypatch, objective):
         # The reference recounts all 2^9 = 512 canonical labelings of 10
-        # nodes into 2 communities; the apply/undo enumeration recounts
-        # only near-best leaves plus the winner.
+        # nodes into 2 communities; the batched enumeration recounts only
+        # the 8 labelings that come near the best one so far, plus the
+        # winner once more for its FitResult.
         _, g = sample(balanced_params(2, 18.0, 1.0, 0.05), 10, seed=3)
         cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
         calls = []
@@ -460,7 +482,7 @@ class TestExactReferenceOracle:
 
         monkeypatch.setattr(search, "block_counters", counting_block_counters)
         fit = exact_argmax(g, 2, cfg)
-        assert 1 <= len(calls) <= 40
+        assert len(calls) == 9
         monkeypatch.undo()
         assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
 
