@@ -507,11 +507,11 @@ def _check_incremental(seed, cases=20, tol=1e-9):
         g, z = _random_graph_labeling(rng, n, k, p_lo=0.2, p_hi=0.8)
         objective = "ml" if case % 2 == 0 else "icl"
         state = _GreedyState(g, k, z.labels, objective)
-        potential = state.cached_potential()
+        potential = state.full_potential()
         scale = 2.0 * n * n if objective == "ml" else float(n * n)
         for i in rng.permutation(n):
             a = int(state.z[i])
-            d = state.neighbor_counts(i)
+            d = state.table[i]
             for b in range(k):
                 if b == a:
                     continue

@@ -100,9 +100,6 @@ class Graph:
         upper = src < self.indices
         return list(zip(src[upper].tolist(), self.indices[upper].tolist()))
 
-    def neighbors(self, i):
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -142,13 +139,6 @@ class Labeling:
                 mapping[lab] = len(mapping)
             out[i] = mapping[lab]
         return Labeling(out, self.k)
-
-    def permuted(self, sigma):
-        """Apply a label permutation sigma (sequence of length k)."""
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sorted(sigma.tolist()) != list(range(self.k)):
-            raise ValueError("sigma must be a permutation of 0..k-1")
-        return Labeling(sigma[self.labels], self.k)
 
 
 @dataclass(frozen=True)
@@ -214,14 +204,6 @@ class ConfusionMatrix:
     @property
     def k(self):
         return int(self.r.shape[0])
-
-    def row_marginals(self):
-        """Community fractions of the first labeling, [R 1]_a."""
-        return self.r.sum(axis=1)
-
-    def col_marginals(self):
-        """Community fractions of the second labeling, [R^T 1]_a."""
-        return self.r.sum(axis=0)
 
 
 def _check_pair(e, z):

@@ -184,13 +184,3 @@ def read_params(path, n=None):
         raise ParameterError(f"rho_mode={mode} requires a network size to resolve rho")
     rho_value = resolve_rho(mode, n, c=c, rho=rho)
     return SbmParams(k=k, pi=pi, s=s, rho=rho_value)
-
-
-def write_params(path, params):
-    """Write SbmParams in the flat key=value format."""
-    lines = [f"k = {params.k}", "pi = " + ", ".join(repr(float(x)) for x in params.pi)]
-    for row in params.s:
-        lines.append("S = " + ", ".join(repr(float(x)) for x in row))
-    lines.append(f"rho = {params.rho!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -13,11 +13,8 @@ the process, so memory grows with the distinct counts a search visits,
 not with n^2.
 
 Greedy search is best-improvement single-node relabeling with random
-restarts, for experiment scale. The restarts of a large enough fit run on
-every CPU of the affinity mask: the process and its forked children claim
-restart indices from a shared counter, and the parent reduces the results
-in restart order with the serial loop's strict comparison, so a fit is the
-same for any worker count.
+restarts, for experiment scale; a large enough fit shares its restarts
+with forked workers (see _parallel_restarts).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
@@ -27,6 +24,7 @@ vectorized objective of sbmfit.modularity, whose values alone decide the
 winner.
 """
 
+import fcntl
 import math
 import os
 import pickle
@@ -60,10 +58,6 @@ _INIT_ATTEMPTS = 1000
 # wins above it (n=50: 10.3 ms serial against 12.1 ms forked at 20
 # restarts; n=200: 26.0 against 19.1 ms at 5 restarts).
 _FORK_MIN_WORK = 1000
-# The parent waits this long for the restart claim record before it checks
-# whether a child died holding it; a live holder writes it back within
-# microseconds.
-_CLAIM_POLL_S = 0.1
 # Exact search re-scores a labeling whose potential, the sum of its block
 # terms, is within this relative distance of the best one, or above it. A
 # labeling that beats the best vectorized value has at least the best
@@ -80,7 +74,7 @@ _EXACT_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs shared by the exact and greedy maximizers."""
+    """Knobs of the greedy maximizer; exact search reads only objective and alpha."""
 
     objective: str = "ml"
     alpha: float = 0.05
@@ -203,13 +197,14 @@ class _GreedyState:
     x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
     terms for icl. Normalization does not affect the argmax. The state keeps
     no running sum of it: the current term of every block pair is cached in
-    F, from which cached_potential sums it, and best_move evaluates only
-    the terms of the blocks after a move, and shares the removal term of
-    the node's own block among its targets. The labels z are a plain list,
-    and table[i][c] counts the neighbours of node i in community c, an
-    n x k list of lists built once from the edge endpoints. apply_move
-    refreshes rows and columns a and b of F and the table rows of the
-    moved node's neighbours.
+    F, and best_move evaluates only the terms of the blocks after a move,
+    and shares the removal term of the node's own block among its targets.
+    The labels z are a plain list, and table[i][c] counts the neighbours of
+    node i in community c, an n x k list of lists built once from the edge
+    endpoints. apply_move refreshes rows and columns a and b of F and the
+    table rows of the moved node's neighbours. Callers read the rows of
+    table and must not mutate them; row i stays valid across apply_move of
+    node i itself, which changes only the rows of i's neighbours.
     """
 
     def __init__(self, g, k, labels, objective):
@@ -260,22 +255,6 @@ class _GreedyState:
     def full_potential(self):
         """Potential recomputed from the counters, not from the cached F."""
         return self._sum_terms(self.block_terms())
-
-    def cached_potential(self):
-        """Potential summed from the cached F in the order of full_potential.
-
-        F depends only on the integer counters, so this sum carries no
-        rounding from earlier moves.
-        """
-        return self._sum_terms(self.F)
-
-    def neighbor_counts(self, i):
-        """Edges from node i into each community, as the live table row.
-
-        Callers must not mutate it. It stays valid across apply_move of
-        node i itself, which changes only the rows of i's neighbours.
-        """
-        return self.table[i]
 
     def best_move(self, a, d, targets):
         """Largest potential change over relabeling one node from a to each
@@ -474,25 +453,16 @@ def _run_restart(g, k, cfg, min_size, restart):
     return state.full_potential(), z, sweeps, restart, not improved
 
 
-def _best_restart(results):
-    """The result with the highest potential; results come in restart order,
-    and a tie keeps the earlier restart."""
-    best = None
-    for result in results:
-        if best is None or result[0] > best[0]:
-            best = result
-    return best
-
-
 def _restart_workers(n, restarts):
     """Processes to share a fit's restarts: this one plus forked children.
 
     A fit runs in-process unless it has at least two restarts, n * restarts
-    exceeds _FORK_MIN_WORK, the affinity mask holds at least two CPUs and
-    no other thread runs, since a forked child copies only the forking thread.
+    exceeds _FORK_MIN_WORK, the affinity mask holds at least two CPUs, no
+    other thread runs, since a forked child copies only the forking thread,
+    and the platform has os.memfd_create for the restart counter.
     """
     if (restarts < 2 or n * restarts <= _FORK_MIN_WORK or threading.active_count() > 1
-            or not hasattr(os, "sched_getaffinity")):
+            or not hasattr(os, "sched_getaffinity") or not hasattr(os, "memfd_create")):
         return 1
     return min(len(os.sched_getaffinity(0)), restarts)
 
@@ -530,61 +500,40 @@ def _forked_worker(run, result_r, result_w):
 def _parallel_restarts(g, k, cfg, min_size, workers):
     """Every restart's result, from this process and workers - 1 forked children.
 
-    The workers claim restart indices from a shared counter: a pipe that
-    holds the next index as one 8-byte record. A claim reads the record and
-    writes back the index plus one; a pipe write of at most PIPE_BUF bytes
-    is atomic, so no two claims get the same index. Each child pickles its
-    results into its own pipe and leaves by os._exit. The results come back
-    sorted by restart index, the order of the serial loop. If anything
-    raises here, a child's exception included, the children still running
-    are killed and every child is reaped before the exception propagates.
+    The workers claim restart indices one at a time until none is left,
+    which evens out restarts of unequal length. The next index is one
+    8-byte record in an unnamed in-memory file made for this fit; a claim
+    takes a POSIX record lock on the file, reads the index, writes back the
+    index plus one and unlocks. The kernel drops the lock of a process that
+    dies, so no claimer ever waits on a dead one.
+    Each child pickles its results into its own pipe and leaves by
+    os._exit; a child that dies sends nothing, which raises RuntimeError.
+    Results are read from whichever child pipe is ready, so a dead child is
+    noticed while another one still runs. If anything raises here, a
+    child's exception included, the children still running are killed and
+    every child is reaped before the exception propagates.
 
-    A child that dies between reading and writing back the record takes the
-    counter with it, and this process holds the write end itself, so no
-    claimer ever blocks on the record: the read end is non-blocking, and a
-    claimer that finds the pipe empty waits for it with select and a
-    timeout, then reads again, since another claimer may take the record
-    first. Whenever this process's wait runs out it checks its children: a
-    child that was killed or exited with an error status raises
-    RuntimeError. A clean exit means a child read the counter past the last
-    restart, so no claim is left and the claims end. Results are read from
-    whichever child pipe is ready, so a dead child is noticed while another
-    one still runs.
+    Every restart draws from its own seed, and the results come back sorted
+    by restart index, the order of the serial loop, so the fit does not
+    depend on the worker count.
     """
-    claim_r, claim_w = os.pipe()
-    os.set_blocking(claim_r, False)
-    os.write(claim_w, (0).to_bytes(8, "little"))
+    counter = os.memfd_create("sbmfit-restarts")
+    os.pwrite(counter, (0).to_bytes(8, "little"), 0)
 
-    def claimed(spent):
+    def claimed():
         while True:
+            fcntl.lockf(counter, fcntl.LOCK_EX)
             try:
-                record = os.read(claim_r, 8)
-            except BlockingIOError:
-                if not select.select([claim_r], [], [], _CLAIM_POLL_S)[0] and spent():
-                    return
-                continue
-            restart = int.from_bytes(record, "little")
-            os.write(claim_w, (restart + 1).to_bytes(8, "little"))
+                restart = int.from_bytes(os.pread(counter, 8, 0), "little")
+                os.pwrite(counter, (restart + 1).to_bytes(8, "little"), 0)
+            finally:
+                fcntl.lockf(counter, fcntl.LOCK_UN)
             if restart >= cfg.restarts:
                 return
             yield restart
 
-    def run(spent=lambda: False):
-        return [_run_restart(g, k, cfg, min_size, r) for r in claimed(spent)]
-
-    def children_spent():
-        """True if a child spent the counter; raises if one died."""
-        for pid, _ in children:
-            # WNOWAIT leaves the child to be reaped below.
-            info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-            if info is None:
-                continue
-            if info.si_code != os.CLD_EXITED or info.si_status != 0:
-                raise RuntimeError(f"restart worker {pid} died while restarts were "
-                                   f"being claimed (code {info.si_code}, "
-                                   f"status {info.si_status})")
-            return True
-        return False
+    def run():
+        return [_run_restart(g, k, cfg, min_size, r) for r in claimed()]
 
     children = []  # (pid, read end of its result pipe), not yet reaped
     try:
@@ -599,7 +548,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(result_w)
             children.append((pid, result_r))
-        results = run(children_spent)
+        results = run()
         received = {result_r: [] for _, result_r in children}
         while children:
             ready = select.select([result_r for _, result_r in children], [], [])[0]
@@ -628,8 +577,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-        os.close(claim_r)
-        os.close(claim_w)
+        os.close(counter)
     results.sort(key=lambda result: result[3])
     return results
 
@@ -643,13 +591,8 @@ def greedy_argmax(g, k, cfg):
     move or max_sweeps is reached. The best restart wins; ties keep the
     earlier restart. Output labeling is canonical.
 
-    Restarts run on the CPUs of the affinity mask: this process and up to
-    min(CPUs, restarts) - 1 forked children each take the next unclaimed
-    restart index from a shared counter until none is left. Every restart
-    draws from its own seed, and the results are reduced in restart order
-    with the same strict comparison as the serial loop, so the fit does not
-    depend on the worker count. Fits with n * restarts at most
-    _FORK_MIN_WORK run in-process, where a fork would cost more than it saves.
+    The restarts of a large enough fit run on every CPU of the affinity
+    mask (see _restart_workers and _parallel_restarts).
     """
     cfg.check_feasible(k)
     min_size = _min_size(g.n, k, cfg)
@@ -658,7 +601,8 @@ def greedy_argmax(g, k, cfg):
         results = _parallel_restarts(g, k, cfg, min_size, workers)
     else:
         results = (_run_restart(g, k, cfg, min_size, r) for r in range(cfg.restarts))
-    _, labels, sweeps, restart, converged = _best_restart(results)
+    # max keeps the first of equal potentials: a tie keeps the earlier restart.
+    _, labels, sweeps, restart, converged = max(results, key=lambda result: result[0])
     return _finalize(g, labels, k, cfg, sweeps, restart, converged)
 
 

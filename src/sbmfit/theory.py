@@ -69,8 +69,9 @@ def _ternary_max(f):
 def phase_constant_from_rates(pi, s):
     """Phase constant straight from a prior vector and rate matrix.
 
-    Minimizes over ordered community pairs b != b' the maximum over
-    t in [0, 1] of sum_a pi_a * chernoff_hellinger(t, S_ab, S_ab'). The
+    Minimizes over community pairs b < b' the maximum over t in [0, 1] of
+    sum_a pi_a * chernoff_hellinger(t, S_ab, S_ab'). The pair (b', b) has
+    the same objective at 1 - t, so each unordered pair is solved once. The
     inner problem is concave in t, so ternary search converges; ties in the
     outer minimum resolve to the lexicographically smallest pair.
     """
@@ -84,9 +85,7 @@ def phase_constant_from_rates(pi, s):
         raise ParameterError("pi and S must be finite and strictly positive")
     best = None
     for b in range(k):
-        for bp in range(k):
-            if b == bp:
-                continue
+        for bp in range(b + 1, k):
             t, val = _ternary_max(_pair_objective(pi, s, b, bp))
             if best is None or val < best[0]:
                 best = (val, (b, bp), t)
@@ -119,12 +118,6 @@ def mixture_information(r, s):
     ok = mixed > 0
     out[ok] = xlogy(mixed[ok], mixed[ok] / marg[ok])
     return float(out.sum())
-
-
-def diagonal_confusion(r):
-    """Diag(R^T 1): the confusion matrix of the second labeling with itself."""
-    rm = r.r if hasattr(r, "r") else np.asarray(r, dtype=float)
-    return np.diag(rm.sum(axis=0))
 
 
 def expected_likelihood_modularity(r, params, n):

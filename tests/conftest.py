@@ -4,6 +4,28 @@ import pytest
 from sbmfit import Graph, Labeling, SbmParams
 
 
+def neighbors(g, i):
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
+def permuted(labeling, sigma):
+    """The labeling with label a renamed sigma[a]."""
+    return Labeling(np.asarray(sigma)[labeling.labels], labeling.k)
+
+
+def diagonal_confusion(r):
+    """Diag(R^T 1): the confusion matrix of the second labeling with itself."""
+    return np.diag(r.r.sum(axis=0))
+
+
+def write_params(path, params):
+    """Write SbmParams in the key = value format that read_params reads."""
+    lines = [f"k = {params.k}", "pi = " + ", ".join(repr(float(x)) for x in params.pi)]
+    lines += ["S = " + ", ".join(repr(float(x)) for x in row) for row in params.s]
+    lines.append(f"rho = {params.rho!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def random_graph(rng, n, p=0.5):
     edges = np.argwhere(np.triu(rng.random((n, n)) < p, k=1))
     return Graph.from_edges(n, edges)

@@ -18,7 +18,7 @@ from sbmfit import (
 from sbmfit import graphs
 from sbmfit.graphs import confusion_counts, min_feasible_size
 
-from conftest import random_graph, random_labeling
+from conftest import neighbors, permuted, random_graph, random_labeling
 
 
 def brute_force_counters(g, z):
@@ -65,7 +65,7 @@ class TestGraph:
         assert g.indptr.tolist() == [0, 2, 3, 3, 4]
         assert g.indices.tolist() == [1, 3, 0, 0]
         assert g.indptr.dtype == g.indices.dtype == np.int64
-        assert g.neighbors(0).tolist() == [1, 3]
+        assert neighbors(g, 0).tolist() == [1, 3]
         assert g.degrees().tolist() == [2, 1, 0, 1]
 
     def test_rejects_malformed_csr(self):
@@ -157,7 +157,7 @@ class TestConfusion:
 
     def test_label_swap_antidiagonal(self, rng):
         z = random_labeling(rng, 12, 2)
-        e = z.permuted([1, 0])
+        e = permuted(z, [1, 0])
         r = confusion(e, z)
         assert r.r[0, 0] == 0 and r.r[1, 1] == 0
 
@@ -171,8 +171,8 @@ class TestConfusion:
         e = random_labeling(rng, 30, 4)
         z = random_labeling(rng, 30, 4)
         r = confusion(e, z)
-        assert np.allclose(r.row_marginals(), e.sizes() / 30)
-        assert np.allclose(r.col_marginals(), z.sizes() / 30)
+        assert np.allclose(r.r.sum(axis=1), e.sizes() / 30)
+        assert np.allclose(r.r.sum(axis=0), z.sizes() / 30)
         assert r.r.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_k(self, rng):
@@ -182,7 +182,7 @@ class TestConfusion:
     def test_diag_col_marginals_is_self_confusion(self, rng):
         e = random_labeling(rng, 25, 3)
         z = random_labeling(rng, 25, 3)
-        lhs = np.diag(confusion(e, z).col_marginals())
+        lhs = np.diag(confusion(e, z).r.sum(axis=0))
         assert np.allclose(lhs, confusion(z, z).r, atol=1e-15)
 
 
@@ -193,7 +193,7 @@ class TestMisclassification:
 
     def test_any_relabeling_is_zero(self, rng):
         z = random_labeling(rng, 15, 3)
-        assert misclassification(z.permuted([2, 0, 1]), z) == 0
+        assert misclassification(permuted(z, [2, 0, 1]), z) == 0
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(100):

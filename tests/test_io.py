@@ -12,10 +12,9 @@ from sbmfit.io import (
     resolve_rho,
     write_edge_list,
     write_labeling,
-    write_params,
 )
 
-from conftest import random_graph, random_labeling
+from conftest import random_graph, random_labeling, write_params
 
 
 class TestEdgeList:

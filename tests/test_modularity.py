@@ -17,7 +17,7 @@ from sbmfit import (
 )
 from sbmfit.modularity import LOG_BETA_HALF, icl_from_counters
 
-from conftest import random_graph, random_labeling
+from conftest import permuted, random_graph, random_labeling
 
 
 def complete_graph(n):
@@ -79,7 +79,7 @@ class TestLikelihoodModularity:
         for _ in range(30):
             g = random_graph(rng, 18)
             z = random_labeling(rng, 18, 3)
-            zp = z.permuted([2, 0, 1])
+            zp = permuted(z, [2, 0, 1])
             assert likelihood_modularity(g, z) == likelihood_modularity(g, zp)
             assert integrated_likelihood_modularity(g, z) == integrated_likelihood_modularity(g, zp)
 

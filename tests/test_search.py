@@ -27,7 +27,7 @@ from sbmfit.graphs import block_counters
 from sbmfit import search
 from sbmfit.search import _GreedyState
 
-from conftest import random_graph, random_labeling
+from conftest import neighbors, random_graph, random_labeling
 import reference_exact
 from reference_exact import reference_exact_argmax
 from reference_greedy import ReferenceGreedyState, reference_greedy_argmax
@@ -125,7 +125,7 @@ class TestGreedy:
         state = _GreedyState(g, 2, np.array([0] * 4 + [1] * 4), "ml")
         for i in range(g.n):
             a = int(state.z[i])
-            d = state.neighbor_counts(i)
+            d = state.table[i]
             for b in range(2):
                 if b != a:
                     assert state.best_move(a, d, (b,))[0] <= 0.0
@@ -174,11 +174,11 @@ class TestGreedy:
             z = random_labeling(rng, n, k)
             objective = "ml" if case % 2 == 0 else "icl"
             state = _GreedyState(g, k, z.labels, objective)
-            potential = state.cached_potential()
+            potential = state.full_potential()
             scale = 2.0 * n * n if objective == "ml" else float(n * n)
             for i in rng.permutation(n):
                 a = int(state.z[i])
-                d = state.neighbor_counts(i)
+                d = state.table[i]
                 for b in range(k):
                     if b == a:
                         continue
@@ -264,7 +264,7 @@ class TestBestMove:
         try:
             for i in range(n):
                 a = labels[i]
-                d = state.neighbor_counts(i)
+                d = state.table[i]
                 assert d == ref.neighbor_counts(i)
                 targets = data.draw(st.permutations([b for b in range(k) if b != a]))
                 targets = targets[:data.draw(st.integers(1, k - 1))]
@@ -290,7 +290,7 @@ class TestBestMove:
 
     def test_no_targets(self):
         state = _GreedyState(two_cliques(), 2, [0] * 4 + [1] * 4, "ml")
-        assert state.best_move(0, state.neighbor_counts(0), ()) == (-math.inf, -1)
+        assert state.best_move(0, state.table[0], ()) == (-math.inf, -1)
 
 
 class TestCachedBlockTerms:
@@ -301,14 +301,14 @@ class TestCachedBlockTerms:
         rng = np.random.default_rng(seed)
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
         state = _GreedyState(g, k, rng.integers(0, k, size=n), objective)
-        potential = state.cached_potential()
+        potential = state.full_potential()
         scale = 2.0 * n * n if objective == "ml" else float(n * n)
         for _ in range(3 * n):
             i, b = int(rng.integers(n)), int(rng.integers(k))
             a = int(state.z[i])
             if b == a:
                 continue
-            d = state.neighbor_counts(i)
+            d = state.table[i]
             potential += state.best_move(a, d, (b,))[0]
             state.apply_move(i, b, d)
             fresh = _GreedyState(g, k, state.z, objective)
@@ -317,7 +317,7 @@ class TestCachedBlockTerms:
             assert abs(potential - fresh.full_potential()) / scale < 1e-9
             z = np.asarray(state.z)
             for j in range(n):
-                assert state.table[j] == np.bincount(z[g.neighbors(j)], minlength=k).tolist()
+                assert state.table[j] == np.bincount(z[neighbors(g, j)], minlength=k).tolist()
 
 
 def assert_same_fit(got, want):

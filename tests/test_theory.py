@@ -20,9 +20,9 @@ from sbmfit import (
 from sbmfit.divergences import chernoff_hellinger, neg_bernoulli_entropy
 from sbmfit.experiments import balanced_params
 from sbmfit.graphs import ConfusionMatrix
-from sbmfit.theory import diagonal_confusion, ml_identity_residual, phase_constant_from_rates
+from sbmfit.theory import ml_identity_residual, phase_constant_from_rates
 
-from conftest import random_graph, random_labeling, random_params
+from conftest import diagonal_confusion, random_graph, random_labeling, random_params
 
 
 class TestPhaseConstant:
@@ -47,6 +47,14 @@ class TestPhaseConstant:
         assert pc.argmin_pair == (0, 1)
         pc3 = phase_transition_constant(balanced_params(3, 9.0, 4.0, 1e-3))
         assert pc3.value == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_asymmetric_minimum_names_the_smaller_pair(self):
+        # Pairs (1, 2) and (2, 1) reach the same minimum; the lexicographically
+        # smaller one is reported, with its own maximizing t.
+        pc = phase_constant_from_rates([0.2, 0.3, 0.5],
+                                       [[6.0, 1.0, 0.5], [1.0, 4.0, 1.5], [0.5, 1.5, 3.0]])
+        assert pc.argmin_pair == (1, 2)
+        assert pc.argmax_t == pytest.approx(0.48725, abs=1e-5)
 
     def test_identical_columns_give_zero(self):
         pc = phase_constant_from_rates([0.3, 0.7], [[2.0, 2.0], [5.0, 5.0]])
