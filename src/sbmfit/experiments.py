@@ -380,7 +380,8 @@ def _random_params(rng, k):
     return SbmParams(k=k, pi=pi, s=s, rho=0.5)
 
 
-def _check_closed_forms(seed, cases=20, tol=1e-9):
+def _check_closed_forms(seed):
+    cases, tol = 20, 1e-9
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
     worst = 0.0
     for _ in range(cases):
@@ -397,7 +398,8 @@ def _check_closed_forms(seed, cases=20, tol=1e-9):
     )
 
 
-def _check_gap_bound(seed, cases=200):
+def _check_gap_bound(seed):
+    cases = 200
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     failures = 0
     for _ in range(cases):
@@ -413,7 +415,8 @@ def _check_gap_bound(seed, cases=200):
     )
 
 
-def _check_l1_identity(seed, cases=300):
+def _check_l1_identity(seed):
+    cases = 300
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 2)))
     failures = 0
     for _ in range(cases):
@@ -430,7 +433,8 @@ def _check_l1_identity(seed, cases=300):
     )
 
 
-def _check_expectation_identity(seed, cases=100, tol=1e-10):
+def _check_expectation_identity(seed):
+    cases, tol = 100, 1e-10
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 3)))
     worst = 0.0
     done = 0
@@ -456,7 +460,8 @@ def _check_expectation_identity(seed, cases=100, tol=1e-10):
     )
 
 
-def _check_x_decomposition(seed, cases=100, tol=1e-10):
+def _check_x_decomposition(seed):
+    cases, tol = 100, 1e-10
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 4)))
     worst = 0.0
     done = 0
@@ -477,7 +482,8 @@ def _check_x_decomposition(seed, cases=100, tol=1e-10):
     )
 
 
-def _check_greedy_vs_exact(seed, cases=20):
+def _check_greedy_vs_exact(seed):
+    cases = 20
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 5)))
     attained = 0
     ordered = True
@@ -498,7 +504,8 @@ def _check_greedy_vs_exact(seed, cases=20):
     )
 
 
-def _check_incremental(seed, cases=20, tol=1e-9):
+def _check_incremental(seed):
+    cases, tol = 20, 1e-9
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 6)))
     worst = 0.0
     for case in range(cases):

@@ -78,7 +78,11 @@ class Graph:
         bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
         if bad.size:
             raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
-        keys = np.unique(np.concatenate([i * n + j, j * n + i]))
+        # Sorted in place, repeats are adjacent: cheaper than np.unique's hashing.
+        keys = np.concatenate([i * n + j, j * n + i])
+        keys.sort()
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         src, dst = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])

@@ -2,7 +2,7 @@
 
 Edge list: optional header line ``n k``, then one ``i j`` pair per line,
 whitespace separated and 1-based. Labeling file: one 1-based integer label
-per line. Parameter file: flat ``key = value`` lines (see read_params).
+per line. Ids and labels are decimal integers that fit in int64. Parameter file: flat ``key = value`` lines (see read_params).
 """
 
 import math
@@ -23,6 +23,26 @@ def _content_lines(path):
             line = line.strip()
             if line and not line.startswith("#"):
                 yield line
+
+
+def _read_int_rows(path, columns, what):
+    """The content lines of a file as an int64 array of shape (lines, columns).
+
+    ParameterError when the file has no content line, when a field is not
+    a decimal integer that fits in int64, or when a line has another
+    number of fields.
+    """
+    lines = list(_content_lines(path))
+    if not lines:
+        raise ParameterError(f"empty {what} file {path!r}")
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed {what} file {path!r}: {exc}") from None
+    if rows.shape[1] != columns:
+        raise ParameterError(f"malformed {what} file {path!r}: "
+                             f"{rows.shape[1]} fields per line, expected {columns}")
+    return rows
 
 
 def write_edge_list(path, g, k=0):
@@ -48,29 +68,20 @@ def read_edge_list(path, header="auto"):
     A pair listed more than once, in either orientation, is kept as one
     edge, and one UserWarning reports how many duplicates were merged.
     """
-    rows = []
-    for line in _content_lines(path):
-        try:
-            i, j = map(int, line.split())
-        except ValueError:
-            raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
-        rows.append((i, j))
-    if not rows:
-        raise ParameterError(f"empty edge list file {path!r}")
-
+    rows = _read_int_rows(path, 2, "edge list")
     if header == "auto":
-        first = rows[0]
-        rest_max = max((max(i, j) for i, j in rows[1:]), default=0)
+        first = rows[0].tolist()
+        rest_max = int(rows[1:].max()) if len(rows) > 1 else 0
         header = first[0] == first[1] or (first[0] >= rest_max and first[1] <= first[0])
     if header:
-        n, k = rows[0]
+        n, k = rows[0].tolist()
         edge_rows = rows[1:]
     else:
-        n = max(max(i, j) for i, j in rows)
+        n = int(rows.max())
         k = 0
         edge_rows = rows
     try:
-        g = Graph.from_edges(n, np.asarray(edge_rows, dtype=np.int64) - 1)
+        g = Graph.from_edges(n, edge_rows - 1)
     except ValueError as exc:
         raise ParameterError(f"invalid graph in {path!r}: {exc}") from exc
     duplicates = len(edge_rows) - g.edge_count
@@ -87,15 +98,7 @@ def write_labeling(path, z):
 
 def read_labeling(path, k=None):
     """Read a labeling file; k defaults to the largest label seen."""
-    labels = []
-    for line in _content_lines(path):
-        try:
-            labels.append(int(line) - 1)
-        except ValueError:
-            raise ParameterError(f"malformed line in {path!r}: {line!r}") from None
-    if not labels:
-        raise ParameterError(f"empty labeling file {path!r}")
-    arr = np.asarray(labels, dtype=np.int64)
+    arr = _read_int_rows(path, 1, "labeling")[:, 0] - 1
     if k is None:
         k = int(arr.max()) + 1
     try:

@@ -10,7 +10,9 @@ each target adds O(k) more, so a visit costs O(k^2) terms; an applied
 move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
 values behind the terms are memoized per integer argument for the life of
 the process, so memory grows with the distinct counts a search visits,
-not with n^2.
+not with n^2. Each objective has one block term function, _f_ml or
+_f_icl, and it alone fills the memos; best_move reads them inline and
+calls it on a miss.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
@@ -91,14 +93,6 @@ class SearchConfig:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
-    def check_feasible(self, k):
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        if _alpha_fraction(self.alpha) * k > 1:
-            raise InfeasibleError(
-                f"alpha={self.alpha} with k={k} leaves no feasible labeling"
-            )
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -133,41 +127,11 @@ def _xlogx(x):
     return x * math.log(x) if x else 0.0
 
 
-def _lgamma_half(x):
-    return gammaln(x + 0.5)
-
-
-def _lgamma_int(x):
-    return gammaln(x + 1.0)
-
-
-def _memo(table, fn, x):
-    value = table.get(x)
-    if value is None:
-        value = table[x] = float(fn(float(x)))
-    return value
-
-
-def _fill_ml(o, m):
-    """_f_ml on a memo miss: the same sum, filling the memo as it goes."""
-    if m <= 0:
-        return 0.0
-    t = _XLOGX
-    return _memo(t, _xlogx, o) + _memo(t, _xlogx, m - o) - _memo(t, _xlogx, m)
-
-
-def _fill_icl(o, m):
-    """_f_icl on a memo miss: the same sum, filling the memos as it goes."""
-    if m <= 0:
-        return 0.0
-    gh = _LGAMMA_HALF
-    return (_memo(gh, _lgamma_half, o) + _memo(gh, _lgamma_half, m - o)
-            - _memo(_LGAMMA_INT, _lgamma_int, m) - LOG_BETA_HALF)
-
-
-# The block terms subscript the memos directly: plain dict lookups keep the
-# interpreter's fast path, and a KeyError sends the first visit of an
-# argument through _fill_ml or _fill_icl, which give the same sum.
+# The block terms subscript the memos and fill the missing entries on a
+# KeyError. Membership tests on every call instead made greedy fits at
+# n=200 about 5% slower on 2 vCPUs, and a dict subclass with __missing__
+# 10-20% slower: subscripting one loses the interpreter's fast path, in
+# best_move too.
 def _f_ml(o, m):
     """Block term of the plug-in likelihood, m * tau(o / m); 0 for m = 0."""
     if m <= 0:
@@ -176,7 +140,10 @@ def _f_ml(o, m):
     try:
         return t[o] + t[m - o] - t[m]
     except KeyError:
-        return _fill_ml(o, m)
+        for x in (o, m - o, m):
+            if x not in t:
+                t[x] = _xlogx(float(x))
+    return t[o] + t[m - o] - t[m]
 
 
 def _f_icl(o, m):
@@ -187,7 +154,12 @@ def _f_icl(o, m):
     try:
         return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
     except KeyError:
-        return _fill_icl(o, m)
+        for x in (o, m - o):
+            if x not in gh:
+                gh[x] = float(gammaln(float(x) + 0.5))
+        if m not in gi:
+            gi[m] = float(gammaln(float(m) + 1.0))
+    return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
 
 
 class _GreedyState:
@@ -243,18 +215,15 @@ class _GreedyState:
         """k x k block terms recomputed from the counters."""
         return [[self._term(a, b) for b in range(self.k)] for a in range(self.k)]
 
-    def _sum_terms(self, t):
+    def full_potential(self):
+        """Potential recomputed from the counters, not from the cached F."""
         # ml sums all ordered blocks, icl the upper triangle, row by row.
-        k, icl = self.k, self.objective != "ml"
+        t, k, icl = self.block_terms(), self.k, self.objective != "ml"
         total = 0.0
         for a in range(k):
             for b in range(a if icl else 0, k):
                 total += t[a][b]
         return total
-
-    def full_potential(self):
-        """Potential recomputed from the counters, not from the cached F."""
-        return self._sum_terms(self.block_terms())
 
     def best_move(self, a, d, targets):
         """Largest potential change over relabeling one node from a to each
@@ -262,13 +231,14 @@ class _GreedyState:
         targets is empty.
 
         d is the node's row of neighbour counts. The terms of the blocks
-        after the move are read from the memos inline, each with its own
-        miss path; the term of block (a, a) after the removal is the same
-        for every target and is computed once. Each delta is summed in a
-        fixed order, so equal counters always give the same float. A block
-        with no pairs (m = 0) needs no test: its subscripted term is
-        exactly +0.0, as _f_ml and _f_icl return, because x*log(x) is 0 at
-        0 and 2 * gammaln(1/2) - gammaln(1) equals LOG_BETA_HALF.
+        after the move are read from the memos inline, and a miss calls
+        _f_ml or _f_icl, which fill them; the term of block (a, a) after
+        the removal is the same for every target and is computed once.
+        Each delta is summed in a fixed order, so equal counters always
+        give the same float. A block with no pairs (m = 0) needs no test:
+        its subscripted term is exactly +0.0, as _f_ml and _f_icl return,
+        because x*log(x) is 0 at 0 and 2 * gammaln(1/2) - gammaln(1)
+        equals LOG_BETA_HALF.
         """
         s, o, F = self.sizes, self.o, self.F
         others = self._others[a]
@@ -282,7 +252,7 @@ class _GreedyState:
             try:
                 f = t[x] + t[m - x] - t[m]
             except KeyError:
-                f = _fill_ml(x, m)
+                f = _f_ml(x, m)
             removal = f - Fa[a]
             for b in targets:
                 sb1, db = s[b] + 1, d[b]
@@ -291,13 +261,13 @@ class _GreedyState:
                 try:
                     f = t[x] + t[m - x] - t[m]
                 except KeyError:
-                    f = _fill_ml(x, m)
+                    f = _f_ml(x, m)
                 delta = removal + f - Fb[b]
                 x, m = oa[b] + da - db, sa1 * sb1
                 try:
                     f = t[x] + t[m - x] - t[m]
                 except KeyError:
-                    f = _fill_ml(x, m)
+                    f = _f_ml(x, m)
                 delta += 2.0 * (f - Fa[b])
                 for c in others[b]:
                     sc, dc = s[c], d[c]
@@ -305,12 +275,12 @@ class _GreedyState:
                     try:
                         f = t[x] + t[m - x] - t[m]
                     except KeyError:
-                        f = _fill_ml(x, m)
+                        f = _f_ml(x, m)
                     x, m = ob[c] + dc, sb1 * sc
                     try:
                         g = t[x] + t[m - x] - t[m]
                     except KeyError:
-                        g = _fill_ml(x, m)
+                        g = _f_ml(x, m)
                     delta += 2.0 * (f - Fa[c] + g - Fb[c])
                 if delta > best:
                     best, best_b = delta, b
@@ -320,7 +290,7 @@ class _GreedyState:
             try:
                 f = gh[x] + gh[m - x] - gi[m] - beta
             except KeyError:
-                f = _fill_icl(x, m)
+                f = _f_icl(x, m)
             removal = f - Fa[a]
             for b in targets:
                 sb1, db = s[b] + 1, d[b]
@@ -329,13 +299,13 @@ class _GreedyState:
                 try:
                     f = gh[x] + gh[m - x] - gi[m] - beta
                 except KeyError:
-                    f = _fill_icl(x, m)
+                    f = _f_icl(x, m)
                 delta = removal + f - Fb[b]
                 x, m = oa[b] + da - db, sa1 * sb1
                 try:
                     f = gh[x] + gh[m - x] - gi[m] - beta
                 except KeyError:
-                    f = _fill_icl(x, m)
+                    f = _f_icl(x, m)
                 # Not delta += f - Fa[b]: the sum is left to right.
                 delta = delta + f - Fa[b]
                 for c in others[b]:
@@ -344,12 +314,12 @@ class _GreedyState:
                     try:
                         f = gh[x] + gh[m - x] - gi[m] - beta
                     except KeyError:
-                        f = _fill_icl(x, m)
+                        f = _f_icl(x, m)
                     x, m = ob[c] + dc, sb1 * sc
                     try:
                         g = gh[x] + gh[m - x] - gi[m] - beta
                     except KeyError:
-                        g = _fill_icl(x, m)
+                        g = _f_icl(x, m)
                     delta += f - Fa[c] + g - Fb[c]
                 if delta > best:
                     best, best_b = delta, b
@@ -400,7 +370,13 @@ def _scorer(objective):
 
 
 def _min_size(n, k, cfg):
-    """Smallest feasible community size; InfeasibleError if k of them exceed n."""
+    """Smallest feasible community size.
+
+    ParameterError when k < 1; InfeasibleError when k of them exceed n,
+    which holds whenever alpha * k > 1.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     min_size = min_feasible_size(n, cfg.alpha)
     if k * min_size > n:
         raise InfeasibleError(
@@ -594,7 +570,6 @@ def greedy_argmax(g, k, cfg):
     The restarts of a large enough fit run on every CPU of the affinity
     mask (see _restart_workers and _parallel_restarts).
     """
-    cfg.check_feasible(k)
     min_size = _min_size(g.n, k, cfg)
     workers = _restart_workers(g.n, cfg.restarts)
     if workers > 1:
@@ -686,14 +661,13 @@ def exact_argmax(g, k, cfg):
     vectorized objective, and only those values are compared. Ties in that
     value keep the lexicographically smallest canonical labeling.
     """
-    cfg.check_feasible(k)
-    space = k**g.n
+    n = g.n
+    min_size = _min_size(n, k, cfg)
+    space = k**n
     if space > _EXACT_GUARD:
         raise SearchSpaceError(
             f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
-    n = g.n
-    min_size = _min_size(n, k, cfg)
     score = _scorer(cfg.objective)
     src = np.repeat(np.arange(n), g.degrees())
     once = src < g.indices

@@ -32,16 +32,15 @@ def canonical_labelings(n, k):
 
 
 def reference_exact_argmax(g, k, cfg):
-    cfg.check_feasible(k)
-    space = k**g.n
-    if space > _EXACT_GUARD:
-        raise SearchSpaceError(
-            f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
-        )
     min_size = min_feasible_size(g.n, cfg.alpha)
     if k * min_size > g.n:
         raise InfeasibleError(
             f"alpha={cfg.alpha} needs {k * min_size} nodes but the graph has {g.n}"
+        )
+    space = k**g.n
+    if space > _EXACT_GUARD:
+        raise SearchSpaceError(
+            f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
     score = ml_from_counters if cfg.objective == "ml" else icl_from_counters
     best_value = None

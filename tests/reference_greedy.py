@@ -121,7 +121,6 @@ class ReferenceGreedyState:
 
 
 def reference_greedy_argmax(g, k, cfg):
-    cfg.check_feasible(k)
     min_size = min_feasible_size(g.n, cfg.alpha)
     if k * min_size > g.n:
         raise InfeasibleError(

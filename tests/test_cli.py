@@ -201,6 +201,7 @@ def _fit_args(tmp_path, graph_text, *extra):
     ("4 2\n1 2\n3 4\n", ("--restarts", "0")),
     ("4 2\n1 2\n3 4\n", ("--k", "0")),
     ("4 2\n1 2\n3 4\n", ("--k", "3", "--alpha", "0.3", "--exact")),  # needs 6 nodes
+    ("99999999999999999999 1\n", ()),     # does not fit in int64
 ])
 def test_fit_usage_errors_exit_two(tmp_path, capsys, graph_text, extra):
     assert main(_fit_args(tmp_path, graph_text, *extra)) == 2
@@ -213,6 +214,8 @@ def test_eval_length_mismatch_and_bad_label_exit_two(tmp_path):
     b.write_text("1\n2\n")
     c.write_text("1\n0\n1\n")
     assert main(["eval", "--true", str(a), "--pred", str(b)]) == 2
+    assert main(["eval", "--true", str(a), "--pred", str(c)]) == 2
+    c.write_text("1\n99999999999999999999\n1\n")  # does not fit in int64
     assert main(["eval", "--true", str(a), "--pred", str(c)]) == 2
 
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmfit import Graph, Labeling, ParameterError, SbmParams
 from sbmfit.io import (
@@ -15,6 +17,7 @@ from sbmfit.io import (
 )
 
 from conftest import random_graph, random_labeling, write_params
+from reference_io import reference_read_edge_list, reference_read_labeling
 
 
 class TestEdgeList:
@@ -98,6 +101,77 @@ class TestLabelingFile:
         path.write_text(text)
         with pytest.raises(ParameterError):
             read_labeling(path)
+
+
+# Files of ASCII decimal fields that fit in int64: an optional header,
+# whitespace around and between fields, blank and comment lines, repeated
+# lines, and now and then a malformed line or an id out of range.
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+_PAD = st.sampled_from(["", " ", "\t"])
+# Ids 1-29, and now and then a sign or leading zeros.
+_ID = st.integers(1, 31).map(lambda i: {30: "+3", 31: "007"}.get(i, str(i)))
+_JUNK = st.one_of(
+    st.lists(st.one_of(_ID, st.sampled_from(["0", "-1", "-0", "x", "1.5", "1e1", "#", "0x1"])),
+             min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["1 2 # x", "3 4 5"]),
+)
+_BLANK = st.sampled_from(["", "   ", "\t", "# comment", "  # indented", "#1 2"])
+
+
+def _line(fields):
+    return st.builds(lambda lead, sep, ids, trail: lead + sep.join(ids) + trail,
+                     _PAD, _SEP, st.lists(_ID, min_size=fields, max_size=fields), _PAD)
+
+
+def _text(fields, headers=("",)):
+    line = st.integers(0, 9).flatmap(lambda r: (_JUNK, _BLANK)[r] if r < 2 else _line(fields))
+    return st.builds(lambda head, lines: head + "".join(x + "\n" for x in lines + lines[:3]),
+                     st.sampled_from(headers), st.lists(line, max_size=8))
+
+
+def _outcome(read):
+    """What read() returns, or its exception type, plus its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = read()
+        except Exception as exc:  # the exception type is the outcome
+            value = type(exc)
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "input.txt"
+
+
+class TestReadersAgainstReference:
+    """np.loadtxt readers against the per-line int() parsers they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_text(2, ("", "", "30 2\n", "30 0\n", "# n k\n31 3\n")),
+           header=st.sampled_from(["auto", "auto", True, False]))
+    def test_edge_list(self, scratch_file, text, header):
+        scratch_file.write_text(text)
+
+        def graph(reader):
+            g, k = reader(scratch_file, header)
+            return type(g.n), g.n, g.edges(), type(k), k
+
+        assert (_outcome(lambda: graph(read_edge_list))
+                == _outcome(lambda: graph(reference_read_edge_list)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_text(1), k=st.one_of(st.none(), st.integers(1, 40)))
+    def test_labeling(self, scratch_file, text, k):
+        scratch_file.write_text(text)
+
+        def labeling(reader):
+            z = reader(scratch_file, k)
+            return z.labels.tolist(), type(z.k), z.k
+
+        assert (_outcome(lambda: labeling(read_labeling))
+                == _outcome(lambda: labeling(reference_read_labeling)))
 
 
 class TestParamsFile:

@@ -12,6 +12,7 @@ from sbmfit import (
     Graph,
     InfeasibleError,
     Labeling,
+    ParameterError,
     SearchConfig,
     SearchSpaceError,
     exact_argmax,
@@ -82,11 +83,13 @@ class TestExact:
 
     def test_infeasible_alpha(self):
         g = two_cliques()
-        with pytest.raises(InfeasibleError):
-            SearchConfig(objective="ml", alpha=0.6, restarts=1, seed=0).check_feasible(2)
-        cfg = SearchConfig(objective="ml", alpha=0.45, restarts=1, seed=0)
-        with pytest.raises(InfeasibleError):
-            exact_argmax(Graph.from_edges(5, []), 2, cfg)
+        for search_fn in (greedy_argmax, exact_argmax):
+            with pytest.raises(InfeasibleError):
+                search_fn(g, 2, SearchConfig(objective="ml", alpha=0.6, restarts=1, seed=0))
+            with pytest.raises(InfeasibleError):
+                search_fn(Graph.from_edges(5, []), 2, SearchConfig(alpha=0.45, restarts=1))
+            with pytest.raises(ParameterError):
+                search_fn(g, 0, SearchConfig(restarts=1))
 
     def test_objective_value_matches_reevaluation(self, rng):
         g = random_graph(rng, 9)
@@ -210,13 +213,25 @@ class TestTermMemos:
             rng.integers(0, 10**8, size=3000),
         ]))
         x = args.astype(float)
-        for table, fn, want in (
-            (search._XLOGX, search._xlogx, xlogy(x, x)),
-            (search._LGAMMA_HALF, search._lgamma_half, gammaln(x + 0.5)),
-            (search._LGAMMA_INT, search._lgamma_int, gammaln(x + 1.0)),
-        ):
-            got = np.array([search._memo(table, fn, a) for a in args.tolist()])
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        tables = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
+        saved = [dict(t) for t in tables]
+        try:
+            for t in tables:
+                t.clear()
+            # _f(0, a) fills the entries 0 and a of x*log(x) and gammaln(x + 1/2)
+            # and the entry a of gammaln(x + 1); m = 0 returns before any
+            # memo, so gammaln(0 + 1) is never stored. args[0] is 0.
+            for a in args.tolist():
+                search._f_ml(0, a)
+                search._f_icl(0, a)
+            wants = (xlogy(x, x), gammaln(x + 0.5), gammaln(x + 1.0))
+            for table, want, first in zip(tables, wants, (0, 0, 1)):
+                got = np.array([table[a] for a in args[first:].tolist()])
+                assert np.array_equal(got.view(np.int64), want[first:].view(np.int64))
+        finally:
+            for t, old in zip(tables, saved):
+                t.clear()
+                t.update(old)
 
     def test_xlogx_bit_identical_to_ufunc_over_range(self):
         # Every integer up to 2^21, then a seeded sample up to 10^8; the
@@ -274,12 +289,12 @@ class TestBestMove:
                 cold = state.best_move(a, d, targets)
                 warm = state.best_move(a, d, targets)
                 # Fill every small argument, 0 included, which the miss path
-                # never stores for log-gamma: zero-size blocks then take the
-                # subscript path too.
-                for t, fn in zip(tables, (search._xlogx, search._lgamma_half,
-                                          search._lgamma_int)):
-                    for x in range(3 * n * n):
-                        search._memo(t, fn, x)
+                # never stores for gammaln(x + 1): zero-size blocks then take
+                # the subscript path too.
+                small = np.arange(3 * n * n, dtype=float)
+                for t, values in zip(tables, (xlogy(small, small), gammaln(small + 0.5),
+                                              gammaln(small + 1.0))):
+                    t.update(enumerate(values.tolist()))
                 filled = state.best_move(a, d, targets)
                 for got in (cold, warm, filled):
                     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
@@ -436,6 +451,7 @@ class TestExactReferenceOracle:
         (16, 3, 0.1, SearchSpaceError),
         (5, 2, 0.45, InfeasibleError),
         (7, 3, 0.3, InfeasibleError),
+        (17, 3, 0.33, InfeasibleError),  # 3 * 6 > 17 nodes, and 3^17 > the guard
     ])
     def test_same_refusals(self, n, k, alpha, error):
         g = Graph.from_edges(n, [])
