@@ -194,6 +194,12 @@ def _cmd_eval(args):
     e = sbmio.read_labeling(args.pred_labels)
     if z.n != e.n:
         raise ParameterError(f"labeling files differ in length: {z.n} vs {e.n} nodes")
+    # n labels name at most n communities; a larger label would size the
+    # k x k count matrices of nmi and misclassification by its value.
+    for path, lab in ((args.true_labels, z), (args.pred_labels, e)):
+        if lab.k > lab.n:
+            raise ParameterError(f"label {lab.k} in {path!r} exceeds the number of "
+                                 f"nodes {lab.n}")
     k = max(z.k, e.k)
     z = Labeling(z.labels, k)
     e = Labeling(e.labels, k)

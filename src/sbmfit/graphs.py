@@ -4,6 +4,7 @@ All values are immutable after construction (numpy buffers are marked
 read-only), so they can be shared freely across threads.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,8 +95,8 @@ class Graph:
 
     def degrees(self):
         """Node degrees as a length-n integer vector."""
-        # Cheaper than np.diff on the tiny graphs exact search scores
-        # hundreds of labelings of.
+        # Slicing skips np.diff's Python-level overhead, most of the cost at
+        # toy n, where every fit and greedy restart reads the degrees.
         return self.indptr[1:] - self.indptr[:-1]
 
     def edges(self):
@@ -136,13 +137,12 @@ class Labeling:
         Label-permutation invariant objectives are unchanged; this picks a
         deterministic representative of each equivalence class.
         """
-        mapping = {}
-        out = np.empty_like(self.labels)
-        for i, lab in enumerate(self.labels.tolist()):
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            out[i] = mapping[lab]
-        return Labeling(out, self.k)
+        present, first, inverse = np.unique(self.labels, return_index=True,
+                                            return_inverse=True)
+        # The label seen r-th (by its first node) becomes r.
+        rank = np.empty(present.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(present.size)
+        return Labeling(rank[inverse], self.k)
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,9 @@ def misclassification(e, z):
     return n - best
 
 
+# Memoized: every fit snaps its alpha two or three times, and one
+# limit_denominator call costs about 10 us.
+@functools.lru_cache(maxsize=64)
 def _alpha_fraction(alpha):
     """alpha snapped to the nearest rational with denominator <= 10^12."""
     if not 0.0 < alpha < 1.0:

@@ -21,9 +21,9 @@ with forked workers (see _parallel_restarts).
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
 numpy pass, with the same block terms computed by array ufuncs. It
-re-scores only the labelings that come near the best so far with the
-vectorized objective of sbmfit.modularity, whose values alone decide the
-winner.
+re-scores only the labelings that come near the largest potential seen so
+far with the vectorized objective of sbmfit.modularity, whose values
+alone decide the winner; the winner's recount is its result.
 """
 
 import fcntl
@@ -61,12 +61,12 @@ _INIT_ATTEMPTS = 1000
 # restarts; n=200: 26.0 against 19.1 ms at 5 restarts).
 _FORK_MIN_WORK = 1000
 # Exact search re-scores a labeling whose potential, the sum of its block
-# terms, is within this relative distance of the best one, or above it. A
-# labeling that beats the best vectorized value has at least the best
-# potential in exact arithmetic; the two sums round differently by about
-# 1e-16 of the largest block term. A nonzero potential is at least log(2)
-# in size, so the window is far wider than the rounding; no potential
-# exceeds zero, since every block term is <= 0.
+# terms, is within this relative distance of the largest one seen so far,
+# or above it. A labeling with the best vectorized value has at least every
+# other potential in exact arithmetic; the two sums round differently by
+# about 1e-16 of the largest block term. A nonzero potential is at least
+# log(2) in size, so the window is far wider than the rounding; no
+# potential exceeds zero, since every block term is <= 0.
 _RESCORE_TOL = 1e-9
 # Exact search scores the labelings in chunks of at most this many elements,
 # counting n labels, m edge pair codes and k^2 block counts per labeling, so
@@ -656,10 +656,16 @@ def exact_argmax(g, k, cfg):
     A chunk holds at most _EXACT_CHUNK // (n + m + k^2) labelings, so
     memory stays bounded however large the label space.
 
-    A labeling whose potential comes within a relative _RESCORE_TOL of the
-    best one so far, or above it, is re-scored from block_counters by the
-    vectorized objective, and only those values are compared. Ties in that
-    value keep the lexicographically smallest canonical labeling.
+    The re-scoring floor starts each chunk at least a relative _RESCORE_TOL
+    below the chunk's largest potential and only ever rises: a labeling
+    that is re-scored and beats the best value so far lifts it to the same
+    distance below its own potential. Only labelings at or above the floor
+    are re-scored from block_counters by the vectorized objective, and only
+    those values are compared; ties keep the lexicographically smallest
+    canonical labeling. The winner with the best value lies above every
+    floor, and at n = 10 it is usually the only labeling re-scored. Every
+    enumerated labeling is canonical and feasible, so the winner's recount
+    is the result as it stands.
     """
     n = g.n
     min_size = _min_size(n, k, cfg)
@@ -673,23 +679,29 @@ def exact_argmax(g, k, cfg):
     once = src < g.indices
     src, dst = src[once], g.indices[once]
     rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
-    best_value = best_labels = None
+    best_value = best = None
     floor = -math.inf
     for z, sizes in _canonical_labelings(n, k, min_size, rows):
+        if not len(z):
+            continue
         potentials = _potentials(z, sizes, src, dst, cfg.objective)
+        top = float(potentials.max())
+        floor = max(floor, top - _RESCORE_TOL * abs(top))
         near = np.flatnonzero(potentials >= floor)
         j = 0
         while j < len(near):
             r = near[j]
             j += 1
-            value = score(block_counters(g, Labeling(z[r], k)))
-            if best_value is None or value > best_value:
-                best_value, best_labels = value, z[r].copy()
+            lab = Labeling(z[r], k)
+            value = score(block_counters(g, lab))
+            if best is None or value > best_value:
+                best_value, best = value, lab
                 potential = float(potentials[r])
-                floor = potential - _RESCORE_TOL * abs(potential)
+                floor = max(floor, potential - _RESCORE_TOL * abs(potential))
                 near, j = r + 1 + np.flatnonzero(potentials[r + 1:] >= floor), 0
-    if best_labels is None:
+    if best is None:
         raise InfeasibleError(
             f"no labeling of {n} nodes into {k} communities meets alpha={cfg.alpha}"
         )
-    return _finalize(g, best_labels, k, cfg, 0, 0, True)
+    return FitResult(labeling=best, objective_value=best_value, objective=cfg.objective,
+                     sweeps_used=0, restart_index=0, feasible=True, converged=True)

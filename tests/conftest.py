@@ -35,6 +35,12 @@ def random_labeling(rng, n, k):
     return Labeling(rng.integers(0, k, size=n), k)
 
 
+def reference_canonical(labels):
+    """First-occurrence relabeling, one node at a time: the r-th label seen becomes r."""
+    mapping = {}
+    return [mapping.setdefault(lab, len(mapping)) for lab in np.asarray(labels).tolist()]
+
+
 def random_params(rng, k, rho=0.5):
     pi = rng.uniform(0.2, 1.0, size=k)
     pi = pi / pi.sum()

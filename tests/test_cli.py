@@ -219,6 +219,23 @@ def test_eval_length_mismatch_and_bad_label_exit_two(tmp_path):
     assert main(["eval", "--true", str(a), "--pred", str(c)]) == 2
 
 
+@pytest.mark.parametrize("side", ["--true", "--pred"])
+def test_eval_label_above_node_count_exits_two(tmp_path, capsys, side):
+    # A label is a community of the n nodes, so it is at most n; the count
+    # matrices of nmi must never be sized by a larger one.
+    a, c = tmp_path / "a.txt", tmp_path / "c.txt"
+    a.write_text("1\n2\n1\n")
+    c.write_text("1\n100000000000\n1\n")
+    files = {"--true": a, "--pred": a, side: c}
+    argv = ["eval", "--true", str(files["--true"]), "--pred", str(files["--pred"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: label 100000000000 in ")
+    c.write_text("1\n4\n1\n")
+    assert main(argv) == 2
+    c.write_text("1\n3\n1\n")
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("text", [
     "k = 2\nS = 9.0, x\nS = 1.0, 9.0\n",
     "k = two\nS = 9.0, 1.0\nS = 1.0, 9.0\n",

@@ -18,7 +18,7 @@ from sbmfit import (
 from sbmfit import graphs
 from sbmfit.graphs import confusion_counts, min_feasible_size
 
-from conftest import neighbors, permuted, random_graph, random_labeling
+from conftest import neighbors, permuted, random_graph, random_labeling, reference_canonical
 
 
 def brute_force_counters(g, z):
@@ -329,6 +329,15 @@ class TestLabeling:
     def test_canonical_first_occurrence(self):
         z = Labeling([2, 0, 2, 1], 3)
         assert z.canonical().labels.tolist() == [0, 1, 0, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 12), data=st.data())
+    def test_canonical_equals_reference(self, k, data):
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=60))
+        z = Labeling(labels, k)
+        got = z.canonical()
+        assert got.k == k and got.labels.dtype == np.int64
+        assert got.labels.tolist() == reference_canonical(labels)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,27 @@ class TestExact:
             want = ml_from_counters(counters) if objective == "ml" else icl_from_counters(counters)
             assert fit.objective_value == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 9), k=st.integers(1, 3),
+           objective=st.sampled_from(["ml", "icl"]),
+           kind=st.sampled_from(["random", "empty", "complete", "two_cliques", "star"]),
+           slack=st.sampled_from([0.05, 0.3, 0.6, 0.9, 1.0]))
+    def test_result_is_its_own_recount(self, seed, n, k, objective, kind, slack):
+        # The result is built from the winner's recount alone: its value must
+        # be the scorer's over the returned labeling, bit for bit, and the
+        # labeling must be feasible.
+        g = tie_heavy_graph(kind, n, np.random.default_rng(seed))
+        cfg = SearchConfig(objective=objective, alpha=min(slack / k, 0.95), restarts=1)
+        try:
+            fit = exact_argmax(g, k, cfg)
+        except (InfeasibleError, SearchSpaceError):
+            return
+        score = ml_from_counters if objective == "ml" else icl_from_counters
+        want = score(block_counters(g, fit.labeling))
+        assert np.float64(fit.objective_value).view(np.int64) == np.float64(want).view(np.int64)
+        assert fit.feasible and meets_min_size(fit.labeling, cfg.alpha)
+        assert np.array_equal(fit.labeling.labels, fit.labeling.canonical().labels)
+
 
 class TestGreedy:
     def test_attains_exact_on_small_instances(self):
@@ -167,6 +188,18 @@ class TestGreedy:
         for lab in labels:
             assert lab <= seen_max + 1
             seen_max = max(seen_max, lab)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 30), k=st.integers(1, 4))
+    def test_block_counts_equal_endpoint_counts(self, seed, n, k):
+        # o sums the table rows of each community; block_counters counts the
+        # label pairs of the edge endpoints directly. The two must agree.
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        z = random_labeling(rng, n, k)
+        state = _GreedyState(g, k, z.labels, "ml")
+        assert state.o == block_counters(g, z).edge_counts.tolist()
+        assert state.sizes == z.sizes().tolist()
 
     def test_incremental_matches_recompute(self, rng):
         worst = 0.0
@@ -485,9 +518,9 @@ class TestExactReferenceOracle:
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     def test_few_recounts_at_n10(self, monkeypatch, objective):
         # The reference recounts all 2^9 = 512 canonical labelings of 10
-        # nodes into 2 communities; the batched enumeration recounts only
-        # the 8 labelings that come near the best one so far, plus the
-        # winner once more for its FitResult.
+        # nodes into 2 communities; the batched enumeration, all in one
+        # chunk here, recounts only the labeling of the chunk's largest
+        # potential, and that recount is its FitResult.
         _, g = sample(balanced_params(2, 18.0, 1.0, 0.05), 10, seed=3)
         cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
         calls = []
@@ -498,7 +531,7 @@ class TestExactReferenceOracle:
 
         monkeypatch.setattr(search, "block_counters", counting_block_counters)
         fit = exact_argmax(g, 2, cfg)
-        assert len(calls) == 9
+        assert len(calls) == 1
         monkeypatch.undo()
         assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
 
