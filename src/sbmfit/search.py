@@ -10,13 +10,16 @@ each target adds O(k) more, so a visit costs O(k^2) terms; an applied
 move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
 values behind the terms are memoized per integer argument for the life of
 the process, so memory grows with the distinct counts a search visits,
-not with n^2. Each objective has one block term function, _f_ml or
-_f_icl, and it alone fills the memos; best_move reads them inline and
-calls it on a miss.
+not with n^2. Each objective has one fill function, _fill_ml or
+_fill_icl, and it alone fills the memos; the block terms _f_ml and _f_icl
+and best_move read the memos inline and call it on a miss.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
-with forked workers (see _parallel_restarts).
+with forked workers (see _parallel_restarts). A visit whose node has the
+label and neighbour counts of a node already scored without a move since
+the last applied move is skipped: best_move reads nothing else, so it
+would not move either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
@@ -127,11 +130,35 @@ def _xlogx(x):
     return x * math.log(x) if x else 0.0
 
 
-# The block terms subscript the memos and fill the missing entries on a
-# KeyError. Membership tests on every call instead made greedy fits at
-# n=200 about 5% slower on 2 vCPUs, and a dict subclass with __missing__
-# 10-20% slower: subscripting one loses the interpreter's fast path, in
-# best_move too.
+# The block terms subscript the memos first and fill the missing entries
+# only after the KeyError. Membership tests on every call instead made
+# greedy fits at n=200 about 5% slower on 2 vCPUs, and a dict subclass with
+# __missing__ 10-20% slower: subscripting one loses the interpreter's fast
+# path, in best_move too. A miss goes straight to _fill_ml or _fill_icl,
+# the one copy of the fill rule, which tests membership before it
+# subscripts, so a miss raises one KeyError, not two. A fresh process
+# misses often: ten restarts of a cold n=3000 fit (46k edges) miss about
+# 120k times in one process.
+def _fill_ml(o, m):
+    """m * tau(o / m) after storing any x*log(x) entry it lacks."""
+    t = _XLOGX
+    for x in (o, m - o, m):
+        if x not in t:
+            t[x] = _xlogx(float(x))
+    return t[o] + t[m - o] - t[m]
+
+
+def _fill_icl(o, m):
+    """log B(o+1/2, m-o+1/2) / B(1/2, 1/2) after storing any gammaln entry it lacks."""
+    gh, gi = _LGAMMA_HALF, _LGAMMA_INT
+    for x in (o, m - o):
+        if x not in gh:
+            gh[x] = float(gammaln(float(x) + 0.5))
+    if m not in gi:
+        gi[m] = float(gammaln(float(m) + 1.0))
+    return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
+
+
 def _f_ml(o, m):
     """Block term of the plug-in likelihood, m * tau(o / m); 0 for m = 0."""
     if m <= 0:
@@ -140,10 +167,7 @@ def _f_ml(o, m):
     try:
         return t[o] + t[m - o] - t[m]
     except KeyError:
-        for x in (o, m - o, m):
-            if x not in t:
-                t[x] = _xlogx(float(x))
-    return t[o] + t[m - o] - t[m]
+        return _fill_ml(o, m)
 
 
 def _f_icl(o, m):
@@ -154,12 +178,7 @@ def _f_icl(o, m):
     try:
         return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
     except KeyError:
-        for x in (o, m - o):
-            if x not in gh:
-                gh[x] = float(gammaln(float(x) + 0.5))
-        if m not in gi:
-            gi[m] = float(gammaln(float(m) + 1.0))
-    return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
+        return _fill_icl(o, m)
 
 
 class _GreedyState:
@@ -232,7 +251,7 @@ class _GreedyState:
 
         d is the node's row of neighbour counts. The terms of the blocks
         after the move are read from the memos inline, and a miss calls
-        _f_ml or _f_icl, which fill them; the term of block (a, a) after
+        _fill_ml or _fill_icl, which fill them; the term of block (a, a) after
         the removal is the same for every target and is computed once.
         Each delta is summed in a fixed order, so equal counters always
         give the same float. A block with no pairs (m = 0) needs no test:
@@ -252,7 +271,7 @@ class _GreedyState:
             try:
                 f = t[x] + t[m - x] - t[m]
             except KeyError:
-                f = _f_ml(x, m)
+                f = _fill_ml(x, m)
             removal = f - Fa[a]
             for b in targets:
                 sb1, db = s[b] + 1, d[b]
@@ -261,13 +280,13 @@ class _GreedyState:
                 try:
                     f = t[x] + t[m - x] - t[m]
                 except KeyError:
-                    f = _f_ml(x, m)
+                    f = _fill_ml(x, m)
                 delta = removal + f - Fb[b]
                 x, m = oa[b] + da - db, sa1 * sb1
                 try:
                     f = t[x] + t[m - x] - t[m]
                 except KeyError:
-                    f = _f_ml(x, m)
+                    f = _fill_ml(x, m)
                 delta += 2.0 * (f - Fa[b])
                 for c in others[b]:
                     sc, dc = s[c], d[c]
@@ -275,12 +294,12 @@ class _GreedyState:
                     try:
                         f = t[x] + t[m - x] - t[m]
                     except KeyError:
-                        f = _f_ml(x, m)
+                        f = _fill_ml(x, m)
                     x, m = ob[c] + dc, sb1 * sc
                     try:
                         g = t[x] + t[m - x] - t[m]
                     except KeyError:
-                        g = _f_ml(x, m)
+                        g = _fill_ml(x, m)
                     delta += 2.0 * (f - Fa[c] + g - Fb[c])
                 if delta > best:
                     best, best_b = delta, b
@@ -290,7 +309,7 @@ class _GreedyState:
             try:
                 f = gh[x] + gh[m - x] - gi[m] - beta
             except KeyError:
-                f = _f_icl(x, m)
+                f = _fill_icl(x, m)
             removal = f - Fa[a]
             for b in targets:
                 sb1, db = s[b] + 1, d[b]
@@ -299,13 +318,13 @@ class _GreedyState:
                 try:
                     f = gh[x] + gh[m - x] - gi[m] - beta
                 except KeyError:
-                    f = _f_icl(x, m)
+                    f = _fill_icl(x, m)
                 delta = removal + f - Fb[b]
                 x, m = oa[b] + da - db, sa1 * sb1
                 try:
                     f = gh[x] + gh[m - x] - gi[m] - beta
                 except KeyError:
-                    f = _f_icl(x, m)
+                    f = _fill_icl(x, m)
                 # Not delta += f - Fa[b]: the sum is left to right.
                 delta = delta + f - Fa[b]
                 for c in others[b]:
@@ -314,12 +333,12 @@ class _GreedyState:
                     try:
                         f = gh[x] + gh[m - x] - gi[m] - beta
                     except KeyError:
-                        f = _f_icl(x, m)
+                        f = _fill_icl(x, m)
                     x, m = ob[c] + dc, sb1 * sc
                     try:
                         g = gh[x] + gh[m - x] - gi[m] - beta
                     except KeyError:
-                        g = _f_icl(x, m)
+                        g = _fill_icl(x, m)
                     delta += f - Fa[c] + g - Fb[c]
                 if delta > best:
                     best, best_b = delta, b
@@ -403,6 +422,17 @@ def _run_restart(g, k, cfg, min_size, restart):
 
     Returns (full potential, labels, sweeps, restart, converged), so any
     process that runs restart r returns the same tuple.
+
+    best_move reads only the node's label, its row of neighbour counts and
+    the block state, which changes only when a move is applied. So the
+    loop keeps the signatures (label, counts) of the visits that
+    best_move scored without a move since the last applied move, and skips
+    a visit whose signature is among them: that visit would not move its
+    node either, so the sweeps, moves and result are those of scoring
+    every visit. Every applied move clears the set, which therefore holds
+    at most one entry per distinct signature. Quiet sweeps are where it
+    pays: over ten restarts of an n=3000, k=2 fit it cuts the best_move
+    calls by about a third.
     """
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, restart)))
     labels = _random_feasible_labels(rng, g.n, k, min_size)
@@ -411,6 +441,7 @@ def _run_restart(g, k, cfg, min_size, restart):
     z, sizes, table = state.z, state.sizes, state.table
     best_move, apply_move = state.best_move, state.apply_move
     targets = [[b for b in range(k) if b != a] for a in range(k)]
+    quiet = set()  # signatures scored without a move since the last move
     sweeps = 0
     while sweeps < cfg.max_sweeps:
         improved = False
@@ -419,10 +450,16 @@ def _run_restart(g, k, cfg, min_size, restart):
             if sizes[a] - 1 < min_size:
                 continue
             d = table[i]
+            signature = (a, tuple(d))
+            if signature in quiet:
+                continue
             delta, b = best_move(a, d, targets[a])
             if delta > _MOVE_EPS:
                 apply_move(i, b, d)
+                quiet.clear()
                 improved = True
+            else:
+                quiet.add(signature)
         sweeps += 1
         if not improved:
             break

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -121,6 +122,38 @@ def test_config_defaults_reach_both_sweeps(tmp_path):
             assert len(out.read_text().splitlines()) == 1 + 2
 
 
+@pytest.mark.parametrize("line,named", [
+    ("restrats = 5", "unknown key 'restrats'"),
+    ("= 5", "unknown key ''"),
+    ("restarts 5", "line 'restarts 5' is not"),
+    ("no-header", "line 'no-header' is not"),  # a flag's key alone, without '='
+])
+def test_config_typo_exits_two(tmp_path, params_file, capsys, line, named):
+    g_path = str(tmp_path / "g.txt")
+    main(["sample", "--params", params_file, "--n", "40", "--seed", "1",
+          "--out-graph", g_path, "--out-labels", str(tmp_path / "z.txt")])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"k = 2\n{line}\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "fit", g_path, "--out", str(tmp_path / "e.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and named in err
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_config_key_of_another_subcommand_is_accepted(tmp_path, params_file):
+    # reps belongs to the sweeps; one file may serve fit and the sweeps.
+    g_path = str(tmp_path / "g.txt")
+    main(["sample", "--params", params_file, "--n", "40", "--seed", "1",
+          "--out-graph", g_path, "--out-labels", str(tmp_path / "z.txt")])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k = 2\nreps = 3\nmax-sweeps = 5\nrestarts = 2\n")
+    assert main(["--config", str(cfg), "fit", g_path, "--out", str(tmp_path / "e.txt")]) == 0
+    assert len((tmp_path / "e.txt").read_text().split()) == 40
+
+
 def test_usage_error_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--k", "2"])  # missing positional graph and --out
@@ -158,12 +191,17 @@ def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):
     assert not fit.converged
 
 
-def _run_fresh(code, *args):
+def _run_python(*args, check=True):
+    """A fresh interpreter run with this source tree first on the path."""
     src = str(Path(sbmfit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=60, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
+
+def _run_fresh(code, *args):
+    return _run_python("-c", code, *args).stdout
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -183,6 +221,49 @@ def test_sample_command_leaves_out_scipy_special(tmp_path, params_file):
                      "--out-labels", str(tmp_path / "z.txt"))
     assert out.splitlines()[-1] == "0 False"
     assert len((tmp_path / "z.txt").read_text().splitlines()) == 50
+
+
+def test_module_entry_fit_and_usage_error(tmp_path, params_file):
+    g_path, out, meta = tmp_path / "g.txt", tmp_path / "e.txt", tmp_path / "fit.jsonl"
+    sampled = _run_python("-m", "sbmfit", "sample", "--params", params_file, "--n", "60",
+                          "--seed", "3", "--out-graph", str(g_path),
+                          "--out-labels", str(tmp_path / "z.txt"))
+    assert sampled.stdout.startswith("wrote 60 nodes")
+    fitted = _run_python("-m", "sbmfit", "fit", str(g_path), "--objective", "icl", "--k", "2",
+                         "--restarts", "3", "--out", str(out), "--meta", str(meta))
+    assert fitted.stderr == ""
+    record = json.loads(fitted.stdout)
+    assert record["n"] == 60 and record["objective"] == "icl"
+    assert meta.read_text() == fitted.stdout
+    assert len(out.read_text().split()) == 60
+    usage = _run_python("-m", "sbmfit", "fit", str(g_path), "--k", "2", check=False)
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "error: the following arguments are required: --out" in usage.stderr
+
+
+def test_entry_freezes_the_heap_on_every_exit(tmp_path):
+    # python -m sbmfit and the console script share cli.entry; it freezes
+    # the collector after main, an exit through SystemExit included, and
+    # main alone does not.
+    pyproject = Path(sbmfit.__file__).resolve().parents[2] / "pyproject.toml"
+    if pyproject.exists():
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"sbmfit": "sbmfit.cli:entry"}
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['sbmfit', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('sbmfit', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n")
+    params = tmp_path / "params.txt"
+    params.write_text(PARAMS_TEXT)
+    assert _run_fresh(code, "constant", "--params", str(params)).splitlines()[-1] == "0 True"
+    assert _run_fresh(code, "fit", "--k", "2").splitlines()[-1] == "2 True"
+    code = ("import gc, sys, sbmfit.cli\n"
+            "rc = sbmfit.cli.main(sys.argv[1:])\n"
+            "print(rc, gc.get_freeze_count())\n")
+    assert _run_fresh(code, "constant", "--params", str(params)).splitlines()[-1] == "0 0"
 
 
 def _fit_args(tmp_path, graph_text, *extra):

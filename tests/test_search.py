@@ -321,9 +321,9 @@ class TestBestMove:
                     t.clear()
                 cold = state.best_move(a, d, targets)
                 warm = state.best_move(a, d, targets)
-                # Fill every small argument, 0 included, which the miss path
-                # never stores for gammaln(x + 1): zero-size blocks then take
-                # the subscript path too.
+                # Fill every small argument, 0 included, which _f_icl never
+                # stores for gammaln(x + 1): zero-size blocks then take the
+                # subscript path too.
                 small = np.arange(3 * n * n, dtype=float)
                 for t, values in zip(tables, (xlogy(small, small), gammaln(small + 0.5),
                                               gammaln(small + 1.0))):
@@ -419,6 +419,43 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("k,objective", GREEDY_ORACLE_SBM)
     def test_sampled_sbm_equals_reference(self, k, objective):
         check_greedy_oracle_sbm(k, objective)
+
+
+class TestQuietTailOracle:
+    """The signature skip of the greedy loop against the reference loop.
+
+    Near the phase constant 1 most of a restart's sweeps move few nodes, so
+    many visits repeat a (label, neighbour counts) signature that best_move
+    already scored since the last move; the loop skips those visits.
+    """
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_skips_visits_and_equals_reference(self, monkeypatch, k, objective):
+        n = 600
+        # Separation (sqrt(s1) - 1)^2 = k: phase constant 1 at rho = log(n) / n.
+        s1 = (1.0 + math.sqrt(k)) ** 2
+        _, g = sample(balanced_params(k, s1, 1.0, math.log(n) / n), n, seed=40 + k)
+        cfg = SearchConfig(objective=objective, restarts=5, seed=9)
+        calls = {"best_move": 0, "visits": 0}
+        best_move = _GreedyState.best_move
+        neighbor_counts = ReferenceGreedyState.neighbor_counts
+
+        def counted_best_move(self, *args):
+            calls["best_move"] += 1
+            return best_move(self, *args)
+
+        def counted_visit(self, i):
+            # The reference loop reads the counts once per feasible visit.
+            calls["visits"] += 1
+            return neighbor_counts(self, i)
+
+        monkeypatch.setattr(_GreedyState, "best_move", counted_best_move)
+        monkeypatch.setattr(ReferenceGreedyState, "neighbor_counts", counted_visit)
+        # Every restart runs in this process, where the counters live.
+        monkeypatch.setattr(search, "_restart_workers", lambda n, restarts: 1)
+        assert_same_fit(greedy_argmax(g, k, cfg), reference_greedy_argmax(g, k, cfg))
+        assert 0 < calls["best_move"] < calls["visits"]
 
 
 def tie_heavy_graph(kind, n, rng):
