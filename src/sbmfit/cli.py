@@ -43,6 +43,14 @@ def _int_list(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
 
+def _config_flag(text):
+    """A --config flag value: 1/true/yes or 0/false/no, in any case."""
+    for value, words in ((True, ("1", "true", "yes")), (False, ("0", "false", "no"))):
+        if text.lower() in words:
+            return value
+    raise ValueError("a flag takes 1/true/yes or 0/false/no")
+
+
 def _load_config_defaults(argv, parser, subparsers):
     """Pull --config key=value files in as parser defaults.
 
@@ -372,15 +380,13 @@ def main(argv=None):
                 if action.dest not in defaults:
                     continue
                 raw = defaults[action.dest]
+                convert = action.type
                 if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                    coerced[action.dest] = raw.lower() in ("1", "true", "yes")
-                elif action.type is not None:
-                    try:
-                        coerced[action.dest] = action.type(raw)
-                    except ValueError as exc:
-                        parser.error(f"--config {action.dest} = {raw!r}: {exc}")
-                else:
-                    coerced[action.dest] = raw
+                    convert = _config_flag
+                try:
+                    coerced[action.dest] = raw if convert is None else convert(raw)
+                except ValueError as exc:
+                    parser.error(f"--config {action.dest} = {raw!r}: {exc}")
                 action.required = False
             if coerced:
                 sub.set_defaults(**coerced)

@@ -14,6 +14,7 @@ from .errors import ParameterError
 from .graphs import Graph, Labeling
 
 RHO_MODES = ("const", "log_n_over_n", "one_over_n")
+PARAM_KEYS = ("k", "pi", "S", "rho", "rho_mode", "c")
 
 
 def _content_lines(path):
@@ -136,7 +137,13 @@ def _numbers(key, text):
 
 
 def read_rates(path):
-    """Read just (k, pi, S) from a parameter file, ignoring sparsity keys."""
+    """Read just (k, pi, S) from a parameter file, ignoring sparsity keys.
+
+    ParameterError for a key outside PARAM_KEYS, a key other than S given
+    twice, and the rates that SbmParams refuses.
+    """
+    from .sampling import _check_rates
+
     entries = {}
     s_rows = []
     for line in _content_lines(path):
@@ -145,8 +152,12 @@ def read_rates(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in PARAM_KEYS:
+            raise ParameterError(f"unknown parameter key {key!r}")
         if key == "S":
             s_rows.append(_numbers("S", value))
+        elif key in entries:
+            raise ParameterError(f"parameter key {key!r} is set twice")
         else:
             entries[key] = value
 
@@ -155,19 +166,11 @@ def read_rates(path):
     k = _number(int, "k", entries["k"])
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if "pi" in entries:
-        pi = np.array(_numbers("pi", entries["pi"]))
-        if pi.size != k:
-            raise ParameterError(f"pi must have k={k} entries, got {pi.size}")
-    else:
-        pi = np.full(k, 1.0 / k)
-    if not s_rows:
-        raise ParameterError("parameter file must contain k rows of S")
+    pi = _numbers("pi", entries["pi"]) if "pi" in entries else np.full(k, 1.0 / k)
     if len(s_rows) != k or any(len(row) != k for row in s_rows):
         shape = [len(row) for row in s_rows]
         raise ParameterError(f"expected {k} rows of S with {k} entries, got row lengths {shape}")
-    s = np.array(s_rows, dtype=float)
-    return k, pi, s, entries
+    return (k, *_check_rates(k, pi, s_rows), entries)
 
 
 def read_params(path, n=None):

@@ -18,6 +18,25 @@ _P_MAX = 1.0 - 1e-12
 _BLOCK_PAIRS = 1 << 16
 
 
+def _check_rates(k, pi, s):
+    """pi and S as float arrays, or the ParameterError of the first check they fail."""
+    pi = np.asarray(pi, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if pi.shape != (k,):
+        raise ParameterError(f"pi must have length k={k}, got shape {pi.shape}")
+    if not np.isfinite(pi).all() or (pi <= 0).any():
+        raise ParameterError("all entries of pi must be finite and positive")
+    if abs(pi.sum() - 1.0) > 1e-9:
+        raise ParameterError(f"pi must sum to 1, got {float(pi.sum())!r}")
+    if s.shape != (k, k):
+        raise ParameterError(f"S must be {k}x{k}")
+    if not np.isfinite(s).all() or (s <= 0).any():
+        raise ParameterError("all entries of S must be finite and strictly positive")
+    if not np.array_equal(s, s.T):
+        raise ParameterError("S must be symmetric")
+    return pi, s
+
+
 @dataclass(frozen=True)
 class SbmParams:
     """Model parameters (k, pi, S, rho) with edge probabilities P = rho * S."""
@@ -30,20 +49,7 @@ class SbmParams:
     def __post_init__(self):
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        pi = np.asarray(self.pi, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        if pi.shape != (self.k,):
-            raise ParameterError(f"pi must have length k={self.k}")
-        if not np.isfinite(pi).all() or (pi <= 0).any():
-            raise ParameterError("all entries of pi must be finite and positive")
-        if abs(pi.sum() - 1.0) > 1e-9:
-            raise ParameterError(f"pi must sum to 1, got {pi.sum()!r}")
-        if s.shape != (self.k, self.k):
-            raise ParameterError(f"S must be {self.k}x{self.k}")
-        if not np.isfinite(s).all() or (s <= 0).any():
-            raise ParameterError("all entries of S must be finite and strictly positive")
-        if not np.allclose(s, s.T, rtol=0, atol=0):
-            raise ParameterError("S must be symmetric")
+        pi, s = _check_rates(self.k, self.pi, self.s)
         if not 0.0 < self.rho <= 1.0:
             raise ParameterError(f"rho must be in (0, 1], got {self.rho}")
         p = self.rho * s

@@ -1,8 +1,10 @@
 """Maximizers of the two objectives over the constrained label space.
 
-Greedy search runs on one move kernel, _GreedyState: integer block
-counters, the current objective term of every block pair and, per node,
-the count of its neighbours in each community. It keeps no running total;
+The two objectives differ only in the term each block pair adds, and each
+is one _BlockTerm record of that term, which both searches read. Greedy
+search runs on one move kernel, _GreedyState: integer block counters, the
+current objective term of every block pair and, per node, the count of
+its neighbours in each community. It keeps no running total;
 a search sums the cached terms when it needs the objective. A greedy node
 visit is one best_move call that scores every target community: the
 node's old block after the removal is one new term for all targets, and
@@ -10,9 +12,8 @@ each target adds O(k) more, so a visit costs O(k^2) terms; an applied
 move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
 values behind the terms are memoized per integer argument for the life of
 the process, so memory grows with the distinct counts a search visits,
-not with n^2. Each objective has one fill function, _fill_ml or
-_fill_icl, and it alone fills the memos; the block terms _f_ml and _f_icl
-and best_move read the memos inline and call it on a miss.
+not with n^2. One fill function, _fill, alone fills the memos; the block
+term _f and best_move read the memos inline and call it on a miss.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
@@ -23,10 +24,10 @@ would not move either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
-numpy pass, with the same block terms computed by array ufuncs. It
-re-scores only the labelings that come near the largest potential seen so
-far with the vectorized objective of sbmfit.modularity, whose values
-alone decide the winner; the winner's recount is its result.
+numpy pass, with the array ufuncs of the same records. It re-scores only
+the labelings that come near the largest potential seen so far with the
+vectorized objective of sbmfit.modularity, whose values alone decide the
+winner; the winner's recount is its result.
 """
 
 import fcntl
@@ -130,66 +131,77 @@ def _xlogx(x):
     return x * math.log(x) if x else 0.0
 
 
+@dataclass(frozen=True)
+class _BlockTerm:
+    """The term that a block of m node pairs holding o edge endpoints adds
+    to an objective's potential: A[o] + A[m - o] - B[m] - beta.
+
+    A and B are memos that fill_a and fill_b fill at float(x); a_of and b_of
+    give the same values over an array. A diagonal block divides o and m by
+    h first, and the potential weights a block a < b by w, for the ordered
+    pairs it stands for.
+    """
+
+    A: dict
+    fill_a: object
+    a_of: object
+    B: dict
+    fill_b: object
+    b_of: object
+    beta: float
+    h: int
+    w: float
+
+
+_BLOCK_TERMS = {
+    # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
+    "ml": _BlockTerm(_XLOGX, _xlogx, lambda x: xlogy(x, x),
+                     _XLOGX, _xlogx, lambda x: xlogy(x, x), 0.0, 1, 2.0),
+    # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
+    # the unordered blocks, whose diagonal counts every pair twice.
+    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: float(gammaln(x + 0.5)), lambda x: gammaln(x + 0.5),
+                      _LGAMMA_INT, lambda x: float(gammaln(x + 1.0)), lambda x: gammaln(x + 1.0),
+                      LOG_BETA_HALF, 2, 1.0),
+}
+
+
 # The block terms subscript the memos first and fill the missing entries
 # only after the KeyError. Membership tests on every call instead made
 # greedy fits at n=200 about 5% slower on 2 vCPUs, and a dict subclass with
 # __missing__ 10-20% slower: subscripting one loses the interpreter's fast
-# path, in best_move too. A miss goes straight to _fill_ml or _fill_icl,
-# the one copy of the fill rule, which tests membership before it
-# subscripts, so a miss raises one KeyError, not two. A fresh process
-# misses often: ten restarts of a cold n=3000 fit (46k edges) miss about
-# 120k times in one process.
-def _fill_ml(o, m):
-    """m * tau(o / m) after storing any x*log(x) entry it lacks."""
-    t = _XLOGX
-    for x in (o, m - o, m):
-        if x not in t:
-            t[x] = _xlogx(float(x))
-    return t[o] + t[m - o] - t[m]
-
-
-def _fill_icl(o, m):
-    """log B(o+1/2, m-o+1/2) / B(1/2, 1/2) after storing any gammaln entry it lacks."""
-    gh, gi = _LGAMMA_HALF, _LGAMMA_INT
+# path, in best_move too. A miss goes straight to _fill, the one copy of
+# the fill rule, which tests membership before it subscripts, so a miss
+# raises one KeyError, not two. A fresh process misses often: ten restarts
+# of a cold n=3000 fit (46k edges) miss about 120k times in one process.
+def _fill(t, o, m):
+    """Block term of record t after storing any memo entry it lacks."""
+    A, B = t.A, t.B
     for x in (o, m - o):
-        if x not in gh:
-            gh[x] = float(gammaln(float(x) + 0.5))
-    if m not in gi:
-        gi[m] = float(gammaln(float(m) + 1.0))
-    return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
+        if x not in A:
+            A[x] = t.fill_a(float(x))
+    if m not in B:
+        B[m] = t.fill_b(float(m))
+    return A[o] + A[m - o] - B[m] - t.beta
 
 
-def _f_ml(o, m):
-    """Block term of the plug-in likelihood, m * tau(o / m); 0 for m = 0."""
-    if m <= 0:
-        return 0.0
-    t = _XLOGX
+def _f(t, o, m):
+    """Block term of record t at o endpoints in m pairs; +0.0 for m = 0."""
+    A = t.A
     try:
-        return t[o] + t[m - o] - t[m]
+        return A[o] + A[m - o] - t.B[m] - t.beta
     except KeyError:
-        return _fill_ml(o, m)
-
-
-def _f_icl(o, m):
-    """Block term of the integrated likelihood, log B(o+1/2, m-o+1/2) / B(1/2, 1/2)."""
-    if m <= 0:
-        return 0.0
-    gh, gi = _LGAMMA_HALF, _LGAMMA_INT
-    try:
-        return gh[o] + gh[m - o] - gi[m] - LOG_BETA_HALF
-    except KeyError:
-        return _fill_icl(o, m)
+        return _fill(t, o, m)
 
 
 class _GreedyState:
     """Mutable labeling with integer block counters and cached block terms.
 
-    The potential is the unnormalized objective: sum over ordered blocks of
-    x*log(x) terms for ml, sum over unordered halved blocks of log-Beta
-    terms for icl. Normalization does not affect the argmax. The state keeps
-    no running sum of it: the current term of every block pair is cached in
-    F, and best_move evaluates only the terms of the blocks after a move,
-    and shares the removal term of the node's own block among its targets.
+    The potential is the unnormalized objective, the sum of the block terms
+    of the objective's _BlockTerm record; normalization does not affect the
+    argmax. The state keeps no running sum of it: the current term of every
+    block pair is cached in F, and best_move evaluates only the terms of the
+    blocks after a move, and shares the removal term of the node's own
+    block among its targets.
     The labels z are a plain list, and table[i][c] counts the neighbours of
     node i in community c, an n x k list of lists built once from the edge
     endpoints. apply_move refreshes rows and columns a and b of F and the
@@ -202,7 +214,7 @@ class _GreedyState:
         self.g = g
         self.n = g.n
         self.k = k
-        self.objective = objective
+        self._t = t = _BLOCK_TERMS[objective]
         self._indptr = g.indptr.tolist()
         z = np.asarray(labels, dtype=np.int64)
         if z.shape != (self.n,) or z.min() < 0 or z.max() >= k:
@@ -216,19 +228,22 @@ class _GreedyState:
         self.sizes = np.bincount(z, minlength=k).tolist()
         self.o = o.tolist()
         self.table = table.tolist()
-        self._f = _f_ml if objective == "ml" else _f_icl
         # The third communities c of a move a -> b, in ascending order.
         self._others = [[[c for c in range(k) if c != a and c != b] for b in range(k)]
                         for a in range(k)]
+        # What best_move reads of the record, as one tuple, and the pair
+        # count of a diagonal block of each size: reading the fields one by
+        # one and computing the count per visit made greedy fits at n=200
+        # about 5% slower on 2 vCPUs.
+        self._kernel = (t.A, t.B, t.beta, t.h, t.w,
+                        [c * (c - 1) // t.h for c in range(self.n + 1)])
         self.F = self.block_terms()
 
     def _term(self, a, b):
-        s, o = self.sizes, self.o
+        s, o, t = self.sizes, self.o, self._t
         if a != b:
-            return self._f(o[a][b], s[a] * s[b])
-        if self.objective == "ml":
-            return self._f(o[a][a], s[a] * (s[a] - 1))
-        return self._f(o[a][a] // 2, s[a] * (s[a] - 1) // 2)
+            return _f(t, o[a][b], s[a] * s[b])
+        return _f(t, o[a][a] // t.h, s[a] * (s[a] - 1) // t.h)
 
     def block_terms(self):
         """k x k block terms recomputed from the counters."""
@@ -236,11 +251,11 @@ class _GreedyState:
 
     def full_potential(self):
         """Potential recomputed from the counters, not from the cached F."""
-        # ml sums all ordered blocks, icl the upper triangle, row by row.
-        t, k, icl = self.block_terms(), self.k, self.objective != "ml"
+        # Row by row: all ordered blocks for h = 1, the upper triangle for h = 2.
+        t, k, h = self.block_terms(), self.k, self._t.h
         total = 0.0
         for a in range(k):
-            for b in range(a if icl else 0, k):
+            for b in range(0 if h == 1 else a, k):
                 total += t[a][b]
         return total
 
@@ -251,97 +266,56 @@ class _GreedyState:
 
         d is the node's row of neighbour counts. The terms of the blocks
         after the move are read from the memos inline, and a miss calls
-        _fill_ml or _fill_icl, which fill them; the term of block (a, a) after
-        the removal is the same for every target and is computed once.
-        Each delta is summed in a fixed order, so equal counters always
-        give the same float. A block with no pairs (m = 0) needs no test:
-        its subscripted term is exactly +0.0, as _f_ml and _f_icl return,
-        because x*log(x) is 0 at 0 and 2 * gammaln(1/2) - gammaln(1)
-        equals LOG_BETA_HALF.
+        _fill, which fills them; the term of block (a, a) after the removal
+        is the same for every target and is computed once. Each delta is
+        summed in a fixed order, so equal counters always give the same
+        float. A block with no pairs (m = 0) needs no test: its subscripted
+        term is exactly +0.0, as _f returns, because x*log(x) is 0 at 0 and
+        2 * gammaln(1/2) - gammaln(1) equals LOG_BETA_HALF.
         """
-        s, o, F = self.sizes, self.o, self.F
+        s, o, F, t = self.sizes, self.o, self.F, self._t
+        A, B, beta, h, w, pairs = self._kernel
         others = self._others[a]
         sa1 = s[a] - 1
         da = d[a]
         oa, Fa = o[a], F[a]
         best, best_b = -math.inf, -1
-        if self.objective == "ml":
-            t = _XLOGX
-            x, m = oa[a] - 2 * da, sa1 * (sa1 - 1)
+        x, m = (oa[a] - 2 * da) // h, pairs[sa1]
+        try:
+            f = A[x] + A[m - x] - B[m] - beta
+        except KeyError:
+            f = _fill(t, x, m)
+        removal = f - Fa[a]
+        for b in targets:
+            sb1, db = s[b] + 1, d[b]
+            ob, Fb = o[b], F[b]
+            x, m = (ob[b] + 2 * db) // h, pairs[sb1]
             try:
-                f = t[x] + t[m - x] - t[m]
+                f = A[x] + A[m - x] - B[m] - beta
             except KeyError:
-                f = _fill_ml(x, m)
-            removal = f - Fa[a]
-            for b in targets:
-                sb1, db = s[b] + 1, d[b]
-                ob, Fb = o[b], F[b]
-                x, m = ob[b] + 2 * db, sb1 * (sb1 - 1)
-                try:
-                    f = t[x] + t[m - x] - t[m]
-                except KeyError:
-                    f = _fill_ml(x, m)
-                delta = removal + f - Fb[b]
-                x, m = oa[b] + da - db, sa1 * sb1
-                try:
-                    f = t[x] + t[m - x] - t[m]
-                except KeyError:
-                    f = _fill_ml(x, m)
-                delta += 2.0 * (f - Fa[b])
-                for c in others[b]:
-                    sc, dc = s[c], d[c]
-                    x, m = oa[c] - dc, sa1 * sc
-                    try:
-                        f = t[x] + t[m - x] - t[m]
-                    except KeyError:
-                        f = _fill_ml(x, m)
-                    x, m = ob[c] + dc, sb1 * sc
-                    try:
-                        g = t[x] + t[m - x] - t[m]
-                    except KeyError:
-                        g = _fill_ml(x, m)
-                    delta += 2.0 * (f - Fa[c] + g - Fb[c])
-                if delta > best:
-                    best, best_b = delta, b
-        else:
-            gh, gi, beta = _LGAMMA_HALF, _LGAMMA_INT, LOG_BETA_HALF
-            x, m = oa[a] // 2 - da, sa1 * (sa1 - 1) // 2
+                f = _fill(t, x, m)
+            delta = removal + f - Fb[b]
+            x, m = oa[b] + da - db, sa1 * sb1
             try:
-                f = gh[x] + gh[m - x] - gi[m] - beta
+                f = A[x] + A[m - x] - B[m] - beta
             except KeyError:
-                f = _fill_icl(x, m)
-            removal = f - Fa[a]
-            for b in targets:
-                sb1, db = s[b] + 1, d[b]
-                ob, Fb = o[b], F[b]
-                x, m = ob[b] // 2 + db, sb1 * (sb1 - 1) // 2
+                f = _fill(t, x, m)
+            delta += w * (f - Fa[b])
+            for c in others[b]:
+                sc, dc = s[c], d[c]
+                x, m = oa[c] - dc, sa1 * sc
                 try:
-                    f = gh[x] + gh[m - x] - gi[m] - beta
+                    f = A[x] + A[m - x] - B[m] - beta
                 except KeyError:
-                    f = _fill_icl(x, m)
-                delta = removal + f - Fb[b]
-                x, m = oa[b] + da - db, sa1 * sb1
+                    f = _fill(t, x, m)
+                x, m = ob[c] + dc, sb1 * sc
                 try:
-                    f = gh[x] + gh[m - x] - gi[m] - beta
+                    g = A[x] + A[m - x] - B[m] - beta
                 except KeyError:
-                    f = _fill_icl(x, m)
-                # Not delta += f - Fa[b]: the sum is left to right.
-                delta = delta + f - Fa[b]
-                for c in others[b]:
-                    sc, dc = s[c], d[c]
-                    x, m = oa[c] - dc, sa1 * sc
-                    try:
-                        f = gh[x] + gh[m - x] - gi[m] - beta
-                    except KeyError:
-                        f = _fill_icl(x, m)
-                    x, m = ob[c] + dc, sb1 * sc
-                    try:
-                        g = gh[x] + gh[m - x] - gi[m] - beta
-                    except KeyError:
-                        g = _fill_icl(x, m)
-                    delta += f - Fa[c] + g - Fb[c]
-                if delta > best:
-                    best, best_b = delta, b
+                    g = _fill(t, x, m)
+                delta += w * (f - Fa[c] + g - Fb[c])
+            if delta > best:
+                best, best_b = delta, b
         return best, best_b
 
     def apply_move(self, i, b, d):
@@ -653,34 +627,30 @@ def _potentials(z, sizes, src, dst, objective):
     (z[i], z[j]) over the edges i < j listed by src and dst: block a <= b
     holds the pairs (a, b) and (b, a), so its endpoint count o_ab counts a
     within-block edge twice, as block_counters does. The potential sums
-    the block terms of _f_ml or _f_icl over the blocks a <= b, an ml term
-    twice off the diagonal, computed by the ufuncs behind their memos:
-    xlogy(x, x) for ml and gammaln for icl. The pair codes z[i] * k + z[j]
-    fit in int8: a k >= 2 that passes the feasibility check and the guard
-    has k <= n and k^n <= 2 * 10^7, so k <= 8. In-place updates keep few
-    chunk-sized arrays alive at once.
+    the block terms of the objective's record over the blocks a <= b,
+    computed by its array ufuncs: A(o) - B(m) + A(m - o) - beta, the
+    diagonal counters divided by h first and each term off the diagonal
+    weighted by w. The counters are held as floats, whole numbers below
+    2^53, so the division by h is exact and the ufuncs see the same values
+    as from integers. The pair codes z[i] * k + z[j] fit in int8: a k >= 2
+    that passes the feasibility check and the guard has k <= n and
+    k^n <= 2 * 10^7, so k <= 8. In-place updates keep few chunk-sized
+    arrays alive at once.
     """
+    t = _BLOCK_TERMS[objective]
     k = sizes.shape[1]
     a, b = np.triu_indices(k)
     same = a == b
     pairs = _value_counts(z[:, src] * k + z[:, dst], k * k)
-    o = pairs[:, a * k + b] + pairs[:, b * k + a]
-    m = sizes[:, a] * (sizes[:, b] - same)
-    if objective == "ml":
-        terms = xlogy(o, o)
-        terms -= xlogy(m, m)
-        np.subtract(m, o, out=o)
-        terms += xlogy(o, o)
-        terms *= 2.0 - same
-    else:
-        # The integrated likelihood halves the diagonal counters.
-        o //= 1 + same
-        m //= 1 + same
-        terms = gammaln(o + 0.5)
-        terms -= gammaln(m + 1.0)
-        np.subtract(m, o, out=o)
-        terms += gammaln(o + 0.5)
-        terms -= LOG_BETA_HALF
+    scale = np.where(same, 1.0 / t.h, 1.0)
+    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) * scale
+    m = sizes[:, a] * (sizes[:, b] - same) * scale
+    terms = t.a_of(o)
+    terms -= t.b_of(m)
+    np.subtract(m, o, out=o)
+    terms += t.a_of(o)
+    terms -= t.beta
+    terms *= np.where(same, 1.0, t.w)
     return terms.sum(axis=1)
 
 

@@ -12,9 +12,9 @@ from sbmfit.errors import InfeasibleError
 from sbmfit.graphs import Labeling, block_counters, min_feasible_size
 from sbmfit.sampling import derive_seed
 from sbmfit.search import (
+    _BLOCK_TERMS,
     _MOVE_EPS,
-    _f_icl,
-    _f_ml,
+    _f,
     _finalize,
     _random_feasible_labels,
 )
@@ -31,7 +31,8 @@ class ReferenceGreedyState:
         counters = block_counters(g, Labeling(self.z, k))
         self.sizes = counters.sizes.tolist()
         self.o = counters.edge_counts.tolist()
-        self._f = _f_ml if objective == "ml" else _f_icl
+        term = _BLOCK_TERMS[objective]
+        self._f = lambda o, m: _f(term, o, m)
         self.F = self.block_terms()
         self.potential = self.full_potential()
 
@@ -89,7 +90,7 @@ class ReferenceGreedyState:
             delta = (
                 f(oa[a] // 2 - da, sa1 * (sa1 - 1) // 2) - Fa[a]
                 + f(ob[b] // 2 + db, sb1 * (sb1 - 1) // 2) - Fb[b]
-                + f(oa[b] + da - db, sa1 * sb1) - Fa[b]
+                + (f(oa[b] + da - db, sa1 * sb1) - Fa[b])
             )
             for c in range(self.k):
                 if c == a or c == b:

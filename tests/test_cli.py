@@ -127,6 +127,7 @@ def test_config_defaults_reach_both_sweeps(tmp_path):
     ("= 5", "unknown key ''"),
     ("restarts 5", "line 'restarts 5' is not"),
     ("no-header", "line 'no-header' is not"),  # a flag's key alone, without '='
+    ("exact = maybe", "exact = 'maybe'"),
 ])
 def test_config_typo_exits_two(tmp_path, params_file, capsys, line, named):
     g_path = str(tmp_path / "g.txt")
@@ -152,6 +153,18 @@ def test_config_key_of_another_subcommand_is_accepted(tmp_path, params_file):
     cfg.write_text("k = 2\nreps = 3\nmax-sweeps = 5\nrestarts = 2\n")
     assert main(["--config", str(cfg), "fit", g_path, "--out", str(tmp_path / "e.txt")]) == 0
     assert len((tmp_path / "e.txt").read_text().split()) == 40
+
+
+@pytest.mark.parametrize("value,exact", [("YES", True), ("True", True), ("1", True),
+                                         ("No", False), ("false", False), ("0", False)])
+def test_config_flag_values(tmp_path, capsys, value, exact):
+    g_path = tmp_path / "g.txt"
+    g_path.write_text("6 2\n1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"k = 2\nalpha = 0.2\nexact = {value}\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "fit", str(g_path), "--out", str(tmp_path / "e.txt")]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is exact
 
 
 def test_usage_error_exit_two(tmp_path):
@@ -339,13 +352,46 @@ def test_bad_params_file_exit_two(tmp_path, text):
 def test_non_finite_params_exit_two(tmp_path, capsys, rates, command):
     path = tmp_path / "params.txt"
     path.write_text("k = 2\nrho = 0.1\n" + rates)
+    assert _run_params_command(command, path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def _run_params_command(command, path, tmp_path):
     argv = [command, "--params", str(path)]
     if command == "sample":
         argv += ["--n", "20", "--out-graph", str(tmp_path / "g.txt"),
                  "--out-labels", str(tmp_path / "z.txt")]
-    assert main(argv) == 2
+    return main(argv)
+
+
+@pytest.mark.parametrize("line,named", [
+    ("pl = 0.3, 0.7", "unknown parameter key 'pl'"),  # a typo of pi
+    ("C = 3", "unknown parameter key 'C'"),  # a typo of c
+    ("rho = 0.2", "parameter key 'rho' is set twice"),
+    ("k = 3", "parameter key 'k' is set twice"),
+])
+@pytest.mark.parametrize("command", ["constant", "sample"])
+def test_params_key_typo_exits_two(tmp_path, capsys, line, named, command):
+    # Ignoring such a line would run with uniform pi or c = 1 instead.
+    path = tmp_path / "params.txt"
+    path.write_text(f"k = 2\nrho = 0.1\nS = 9.0, 1.0\nS = 1.0, 9.0\n{line}\n")
+    assert _run_params_command(command, path, tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("rates,message", [
+    ("pi = 0.2, 0.2\nS = 9.0, 1.0\nS = 2.0, 9.0\n", "pi must sum to 1, got 0.4\n"),
+    ("pi = 0.5, 0.5\nS = 9.0, 1.0\nS = 2.0, 9.0\n", "S must be symmetric"),
+])
+@pytest.mark.parametrize("command", ["constant", "sample"])
+def test_constant_rejects_what_sample_rejects(tmp_path, capsys, rates, message, command):
+    path = tmp_path / "params.txt"
+    path.write_text("k = 2\nrho = 0.1\n" + rates)
+    assert _run_params_command(command, path, tmp_path) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_every_export_resolves():

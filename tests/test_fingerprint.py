@@ -96,3 +96,26 @@ def test_objective_floats():
                report.theoretical_bound, report.violation_fraction, report.w_self_max]
     assert sha256(_float_stream(values)) == (
         "eb754a8af7f635cac164c4ca013ae95fdc9c277bc623a8fab2b810df90513bc2")
+
+
+def test_greedy_restart_tuples():
+    # Serial greedy restarts at full precision, k >= 3 so that a move
+    # chooses among several targets: the fits above are k <= 3 at n = 60
+    # and see a potential only through the winner's rounded text.
+    from sbmfit.search import _min_size, _run_restart
+
+    n = 200
+    lines = []
+    for k in (3, 4):
+        for s1 in (4.0 * k, 8.0 * k):
+            _, g = sample(balanced_params(k, s1, 2.0, math.log(n) / n), n, seed=31 + k)
+            for objective in ("ml", "icl"):
+                cfg = SearchConfig(objective=objective, seed=17)
+                min_size = _min_size(n, k, cfg)
+                for restart in range(5):
+                    potential, labels, sweeps, _, converged = _run_restart(
+                        g, k, cfg, min_size, restart)
+                    lines.append(f"{potential.hex()} {''.join(map(str, labels))} "
+                                 f"{sweeps} {converged}")
+    assert sha256("\n".join(lines)) == (
+        "437d19f005d3491666783599871da81d7322d46b63800275c91850d357543d17")

@@ -221,6 +221,10 @@ class TestParamsFile:
         "k = 2\nS = 4, 1\nS = 1\n",
         "k = 2\nS = 4, 1\n",
         "k = 2\nS = 4, 1\nS = 1, 4\nrho = high\n",
+        "k = 2\npl = 0.5, 0.5\nS = 4, 1\nS = 1, 4\nrho = 0.1\n",
+        "k = 2\nS = 4, 1\nS = 1, 4\nrho = 0.1\nrho = 0.2\n",
+        "k = 2\npi = 0.2, 0.2\nS = 4, 1\nS = 1, 4\nrho = 0.1\n",
+        "k = 2\nS = 4, 1\nS = 2, 4\nrho = 0.1\n",
     ])
     def test_malformed_values(self, tmp_path, text):
         path = tmp_path / "p.txt"

@@ -33,6 +33,8 @@ import reference_exact
 from reference_exact import reference_exact_argmax
 from reference_greedy import ReferenceGreedyState, reference_greedy_argmax
 
+ML, ICL = search._BLOCK_TERMS["ml"], search._BLOCK_TERMS["icl"]
+
 
 def two_cliques(size=4):
     edges = [(i, j) for i in range(size) for j in range(i + 1, size)]
@@ -251,16 +253,15 @@ class TestTermMemos:
         try:
             for t in tables:
                 t.clear()
-            # _f(0, a) fills the entries 0 and a of x*log(x) and gammaln(x + 1/2)
-            # and the entry a of gammaln(x + 1); m = 0 returns before any
-            # memo, so gammaln(0 + 1) is never stored. args[0] is 0.
+            # _f(t, 0, a) fills the entries 0 and a of x*log(x) and
+            # gammaln(x + 1/2) and the entry a of gammaln(x + 1). args[0] is 0.
             for a in args.tolist():
-                search._f_ml(0, a)
-                search._f_icl(0, a)
+                search._f(ML, 0, a)
+                search._f(ICL, 0, a)
             wants = (xlogy(x, x), gammaln(x + 0.5), gammaln(x + 1.0))
-            for table, want, first in zip(tables, wants, (0, 0, 1)):
-                got = np.array([table[a] for a in args[first:].tolist()])
-                assert np.array_equal(got.view(np.int64), want[first:].view(np.int64))
+            for table, want in zip(tables, wants):
+                got = np.array([table[a] for a in args.tolist()])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
         finally:
             for t, old in zip(tables, saved):
                 t.clear()
@@ -279,9 +280,9 @@ class TestTermMemos:
         # Arguments no other test reaches: the KeyError path must give the
         # value the filled memo gives on the next call.
         o, m = 7 * 10**9 + 3, 9 * 10**9 + 11
-        first_ml, first_icl = search._f_ml(o, m), search._f_icl(o, m)
-        assert search._f_ml(o, m) == first_ml
-        assert search._f_icl(o, m) == first_icl
+        first_ml, first_icl = search._f(ML, o, m), search._f(ICL, o, m)
+        assert search._f(ML, o, m) == first_ml
+        assert search._f(ICL, o, m) == first_icl
         assert first_ml == xlogy(o, o) + xlogy(m - o, m - o) - xlogy(m, m)
 
 
@@ -321,9 +322,8 @@ class TestBestMove:
                     t.clear()
                 cold = state.best_move(a, d, targets)
                 warm = state.best_move(a, d, targets)
-                # Fill every small argument, 0 included, which _f_icl never
-                # stores for gammaln(x + 1): zero-size blocks then take the
-                # subscript path too.
+                # Fill every small argument, 0 included, before the call:
+                # every block then takes the subscript path.
                 small = np.arange(3 * n * n, dtype=float)
                 for t, values in zip(tables, (xlogy(small, small), gammaln(small + 0.5),
                                               gammaln(small + 1.0))):
@@ -366,6 +366,31 @@ class TestCachedBlockTerms:
             z = np.asarray(state.z)
             for j in range(n):
                 assert state.table[j] == np.bincount(z[neighbors(g, j)], minlength=k).tolist()
+
+
+class TestBatchPotentials:
+    """Exact search's array terms against the greedy kernel's scalar terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_rows_equal_full_potential(self, seed, k, objective, data):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(k, 12))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        # Every community holds at least one node, as in any feasible labeling.
+        rows = [data.draw(st.permutations(
+                    list(range(k)) + data.draw(st.lists(st.integers(0, k - 1),
+                                                        min_size=n - k, max_size=n - k))))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        z = np.array(rows, dtype=np.int8)
+        src = np.repeat(np.arange(n), g.degrees())
+        once = src < g.indices
+        got = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
+                                 objective)
+        for row, value in zip(rows, got.tolist()):
+            want = _GreedyState(g, k, row, objective).full_potential()
+            assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
 
 
 def assert_same_fit(got, want):
