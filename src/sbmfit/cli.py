@@ -16,9 +16,11 @@ from .errors import ParameterError, SbmfitError
 from .graphs import Labeling, misclassification
 from .metrics import nmi
 
-# The experiments, search and plotting modules, and scipy.special behind
-# them, are imported by the commands that use them, so `sample` and `eval`
-# start without them.
+# The experiments, search, theory and plotting modules are imported by the
+# commands that use them, so `sample` and `eval` start without them. None
+# of them imports scipy.special at load: a `fit` or `constant` command
+# computes its log terms with sbmfit._cephes, and only exact search and an
+# ICL block of at most 170 pairs import scipy.special, on first use.
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
@@ -402,9 +404,9 @@ def entry():
     """Process entry point of `sbmfit` and `python -m sbmfit`: main, then freeze.
 
     gc.freeze() moves every tracked object out of the collector's reach, so
-    the collections of interpreter shutdown skip the numpy and scipy object
-    graph that the OS reclaims anyway: after an n=3000 fit, the process
-    ends about 50 ms sooner. It runs in a finally, so an exit through
+    the collections of interpreter shutdown skip the numpy object graph
+    that the OS reclaims anyway: after an n=3000 fit, the process ends
+    about 20 ms sooner. It runs in a finally, so an exit through
     SystemExit, which is how argparse reports a usage error, freezes too.
     main itself leaves the collector alone for callers that go on running.
     """

@@ -4,16 +4,23 @@ All functions accept scalars or numpy arrays and work in nats.
 """
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
+
+from ._cephes import xlog1py, xlogy
+
+
+def _tau(x):
+    return xlogy(x, x) + xlog1py(1.0 - x, -x)
 
 
 def neg_bernoulli_entropy(x):
     """x*log(x) + (1-x)*log(1-x) with the 0*log(0) = 0 convention.
 
-    Nonpositive on [0, 1], equal to 0 only at the endpoints.
+    Nonpositive on [0, 1], equal to 0 only at the endpoints. Evaluated one
+    element at a time, with the scalar xlogy and xlog1py that equal
+    scipy.special's bit for bit: callers pass k x k block densities.
     """
     x = np.asarray(x, dtype=float)
-    out = xlogy(x, x) + xlog1py(1.0 - x, -x)
+    out = np.fromiter(map(_tau, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return out if out.ndim else float(out)
 
 

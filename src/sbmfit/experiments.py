@@ -24,7 +24,7 @@ from .io import write_labeling
 from .metrics import nmi
 from .modularity import modularity_gap
 from .sampling import SbmParams, derive_seed, expected_block_density, expected_edge_counts, sample
-from .search import SearchConfig, _GreedyState, exact_argmax, greedy_argmax
+from .search import _BLOCK_TERMS, SearchConfig, _GreedyState, exact_argmax, greedy_argmax
 from .theory import edge_count_deviation, ml_identity_residual, phase_transition_constant
 
 
@@ -515,7 +515,7 @@ def _check_incremental(seed):
         objective = "ml" if case % 2 == 0 else "icl"
         state = _GreedyState(g, k, z.labels, objective)
         potential = state.full_potential()
-        scale = 2.0 * n * n if objective == "ml" else float(n * n)
+        scale = _BLOCK_TERMS[objective].w * n * n
         for i in rng.permutation(n):
             a = int(state.z[i])
             d = state.table[i]

@@ -3,12 +3,14 @@
 import math
 
 import numpy as np
-from scipy.special import betaln
 
+from ._cephes import lbeta
 from .divergences import neg_bernoulli_entropy
 from .graphs import block_counters
 
-LOG_BETA_HALF = float(betaln(0.5, 0.5))
+# log B(1/2, 1/2) = log(pi) as scipy.special.betaln(0.5, 0.5) rounds it,
+# one ulp below math.log(math.pi); tests/test_cephes.py pins it.
+LOG_BETA_HALF = 1.1447298858494
 
 OBJECTIVES = ("ml", "icl")
 
@@ -39,8 +41,8 @@ def icl_from_counters(counters):
     otil = counters.tilde_edge_counts()
     # Upper-triangle blocks that hold pairs, row by row.
     upper = np.triu(ntil > 0)
-    nt, ot = ntil[upper], otil[upper]
-    terms = betaln(ot + 0.5, nt - ot + 0.5) - LOG_BETA_HALF
+    terms = [lbeta(o + 0.5, m - o + 0.5) - LOG_BETA_HALF
+             for o, m in zip(otil[upper].tolist(), ntil[upper].tolist())]
     total = float(np.sort(terms).sum())
     n = int(counters.sizes.sum())
     return total / (n * n)

@@ -13,7 +13,10 @@ move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
 values behind the terms are memoized per integer argument for the life of
 the process, so memory grows with the distinct counts a search visits,
 not with n^2. One fill function, _fill, alone fills the memos; the block
-term _f and best_move read the memos inline and call it on a miss.
+term _f and best_move read the memos inline and call it on a miss. The
+memos are filled by scalar functions, math.log and the Cephes log-gamma
+port of sbmfit._cephes, which equal scipy.special's ufuncs bit for bit,
+so a greedy fit does not import scipy.special.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
@@ -24,8 +27,9 @@ would not move either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
-numpy pass, with the array ufuncs of the same records. It re-scores only
-the labelings that come near the largest potential seen so far with the
+numpy pass, with the array functions of the same records, which call
+scipy.special ufuncs imported on first use. It re-scores only the
+labelings that come near the largest potential seen so far with the
 vectorized objective of sbmfit.modularity, whose values alone decide the
 winner; the winner's recount is its result.
 """
@@ -41,8 +45,8 @@ import traceback
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
+from ._cephes import lgam
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
 from .modularity import (
@@ -59,10 +63,12 @@ _EXACT_GUARD = 2 * 10**7
 _MOVE_EPS = 1e-10
 _INIT_ATTEMPTS = 1000
 # Greedy fits with n * restarts above this share their restarts with forked
-# workers. A fork round trip costs 3-7 ms in a process with numpy and scipy
-# loaded; on two CPUs the fork loses below about n * restarts = 1000 and
-# wins above it (n=50: 10.3 ms serial against 12.1 ms forked at 20
-# restarts; n=200: 26.0 against 19.1 ms at 5 restarts).
+# workers. On two CPUs the fork lost below about n * restarts = 1000 and
+# won above it (n=50: 10.3 ms serial against 12.1 ms forked at 20 restarts;
+# n=200: 26.0 against 19.1 ms at 5 restarts), measured when a fit process
+# loaded scipy.special. It no longer does, and a bare fork round trip fell
+# from 3.5-3.7 to 1.6-2.6 ms; at n * restarts = 1000 the forked and serial
+# fits still differ by less than the run-to-run noise.
 _FORK_MIN_WORK = 1000
 # Exact search re-scores a labeling whose potential, the sum of its block
 # terms, is within this relative distance of the largest one seen so far,
@@ -118,9 +124,11 @@ class FitResult:
 
 # Memos of x*log(x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
 # arguments searches have visited. They are shared by every fit in the
-# process, so a sweep fills them once; each value is bit-identical to the
-# scipy ufunc (xlogy(x, x), gammaln) over an array at float(x). A forked
-# restart worker starts from the parent's memos and its own fills die with it.
+# process, so a sweep fills them once. Each value comes from a scalar
+# function, _xlogx or the Cephes port lgam, that returns at float(x) the
+# bits the scipy ufunc (xlogy(x, x), gammaln) returns over an array. A
+# forked restart worker starts from the parent's memos and its own fills
+# die with it.
 _XLOGX = {}
 _LGAMMA_HALF = {}
 _LGAMMA_INT = {}
@@ -129,6 +137,14 @@ _LGAMMA_INT = {}
 def _xlogx(x):
     # Scalar xlogy(x, x) without the ufunc dispatch: the same log and product.
     return x * math.log(x) if x else 0.0
+
+
+def _special(name):
+    """The scipy.special ufunc of that name, imported on first use: exact
+    search's array potentials alone need one."""
+    import scipy.special
+
+    return getattr(scipy.special, name)
 
 
 @dataclass(frozen=True)
@@ -155,12 +171,14 @@ class _BlockTerm:
 
 _BLOCK_TERMS = {
     # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
-    "ml": _BlockTerm(_XLOGX, _xlogx, lambda x: xlogy(x, x),
-                     _XLOGX, _xlogx, lambda x: xlogy(x, x), 0.0, 1, 2.0),
+    "ml": _BlockTerm(_XLOGX, _xlogx, lambda x: _special("xlogy")(x, x),
+                     _XLOGX, _xlogx, lambda x: _special("xlogy")(x, x), 0.0, 1, 2.0),
     # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
     # the unordered blocks, whose diagonal counts every pair twice.
-    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: float(gammaln(x + 0.5)), lambda x: gammaln(x + 0.5),
-                      _LGAMMA_INT, lambda x: float(gammaln(x + 1.0)), lambda x: gammaln(x + 1.0),
+    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5),
+                      lambda x: _special("gammaln")(x + 0.5),
+                      _LGAMMA_INT, lambda x: lgam(x + 1.0),
+                      lambda x: _special("gammaln")(x + 1.0),
                       LOG_BETA_HALF, 2, 1.0),
 }
 
@@ -271,7 +289,8 @@ class _GreedyState:
         summed in a fixed order, so equal counters always give the same
         float. A block with no pairs (m = 0) needs no test: its subscripted
         term is exactly +0.0, as _f returns, because x*log(x) is 0 at 0 and
-        2 * gammaln(1/2) - gammaln(1) equals LOG_BETA_HALF.
+        lgam(1/2) + lgam(1/2) - lgam(1) is the float LOG_BETA_HALF
+        (tests/test_cephes.py pins both).
         """
         s, o, F, t = self.sizes, self.o, self.F, self._t
         A, B, beta, h, w, pairs = self._kernel

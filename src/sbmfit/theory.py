@@ -8,8 +8,8 @@ diagnose concentration at finite n.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._cephes import xlogy
 from .divergences import neg_bernoulli_entropy
 from .errors import DegenerateBlockError, ParameterError
 from .graphs import block_counters, confusion
@@ -116,7 +116,7 @@ def mixture_information(r, s):
         raise DegenerateBlockError(int(a), int(b), f"zero marginal under nonzero rate at ({a}, {b})")
     out = np.zeros_like(mixed)
     ok = mixed > 0
-    out[ok] = xlogy(mixed[ok], mixed[ok] / marg[ok])
+    out[ok] = list(map(xlogy, mixed[ok].tolist(), (mixed[ok] / marg[ok]).tolist()))
     return float(out.sum())
 
 

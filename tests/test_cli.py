@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -224,16 +225,52 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert _run_fresh(code).strip() == "False"
 
 
+# Runs main on the arguments in a fresh interpreter and prints its exit
+# code and whether scipy.special was loaded.
+_SPECIAL_LOADED = ("import sys, sbmfit.cli\n"
+                   "rc = sbmfit.cli.main(sys.argv[1:])\n"
+                   "print(rc, 'scipy.special' in sys.modules)")
+
+
 def test_sample_command_leaves_out_scipy_special(tmp_path, params_file):
     # scipy.special costs about 0.25 s per command; sampling uses none of it.
-    code = ("import sys, sbmfit.cli\n"
-            "rc = sbmfit.cli.main(sys.argv[1:])\n"
-            "print(rc, 'scipy.special' in sys.modules)")
-    out = _run_fresh(code, "sample", "--params", params_file, "--n", "50",
+    out = _run_fresh(_SPECIAL_LOADED, "sample", "--params", params_file, "--n", "50",
                      "--out-graph", str(tmp_path / "g.txt"),
                      "--out-labels", str(tmp_path / "z.txt"))
     assert out.splitlines()[-1] == "0 False"
     assert len((tmp_path / "z.txt").read_text().splitlines()) == 50
+
+
+@pytest.mark.parametrize("objective", ["ml", "icl"])
+def test_fit_command_leaves_out_scipy_special(tmp_path, params_file, objective):
+    # The block terms come from the Cephes ports of sbmfit._cephes. Only an
+    # ICL block of at most 170 pairs calls scipy.special.betaln, so each
+    # fitted community here holds at least 20 nodes: 190 pairs or more.
+    g_path, e_path = str(tmp_path / "g.txt"), tmp_path / "e.txt"
+    assert main(["sample", "--params", params_file, "--n", "200", "--seed", "5",
+                 "--out-graph", g_path, "--out-labels", str(tmp_path / "z.txt")]) == 0
+    out = _run_fresh(_SPECIAL_LOADED, "fit", g_path, "--objective", objective, "--k", "2",
+                     "--restarts", "4", "--out", str(e_path))
+    assert out.splitlines()[-1] == "0 False"
+    sizes = Counter(e_path.read_text().split())
+    assert len(sizes) == 2 and min(sizes.values()) > 19
+
+
+def test_constant_command_leaves_out_scipy_special(params_file):
+    out = _run_fresh(_SPECIAL_LOADED, "constant", "--params", params_file)
+    assert out.splitlines()[0].startswith("constant 2")
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_exact_fit_imports_scipy_special_on_demand(tmp_path):
+    # Exact search's array potentials call the scipy.special ufuncs.
+    g_path, e_path = tmp_path / "g.txt", tmp_path / "e.txt"
+    g_path.write_text("8 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n")
+    for objective in ("ml", "icl"):
+        out = _run_fresh(_SPECIAL_LOADED, "fit", str(g_path), "--objective", objective,
+                         "--k", "2", "--alpha", "0.2", "--exact", "--out", str(e_path))
+        assert out.splitlines()[-1] == "0 True"
+        assert e_path.read_text().split() == ["1"] * 4 + ["2"] * 4
 
 
 def test_module_entry_fit_and_usage_error(tmp_path, params_file):

@@ -213,7 +213,7 @@ class TestGreedy:
             objective = "ml" if case % 2 == 0 else "icl"
             state = _GreedyState(g, k, z.labels, objective)
             potential = state.full_potential()
-            scale = 2.0 * n * n if objective == "ml" else float(n * n)
+            scale = search._BLOCK_TERMS[objective].w * n * n
             for i in rng.permutation(n):
                 a = int(state.z[i])
                 d = state.table[i]
@@ -350,7 +350,7 @@ class TestCachedBlockTerms:
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
         state = _GreedyState(g, k, rng.integers(0, k, size=n), objective)
         potential = state.full_potential()
-        scale = 2.0 * n * n if objective == "ml" else float(n * n)
+        scale = search._BLOCK_TERMS[objective].w * n * n
         for _ in range(3 * n):
             i, b = int(rng.integers(n)), int(rng.integers(k))
             a = int(state.z[i])
