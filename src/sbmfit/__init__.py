@@ -10,7 +10,7 @@ from importlib import import_module as _import_module
 
 # Public names, and the submodules that define them, resolve on first
 # access, so a command imports only the modules it uses: `sbmfit sample`
-# does not pay for scipy.special.
+# does not load the search or experiments modules.
 _EXPORTS = {
     "errors": (
         "DegenerateBlockError",

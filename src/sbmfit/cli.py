@@ -17,10 +17,10 @@ from .graphs import Labeling, misclassification
 from .metrics import nmi
 
 # The experiments, search, theory and plotting modules are imported by the
-# commands that use them, so `sample` and `eval` start without them. None
-# of them imports scipy.special at load: a `fit` or `constant` command
-# computes its log terms with sbmfit._cephes, and only exact search and an
-# ICL block of at most 170 pairs import scipy.special, on first use.
+# commands that use them, so `sample` and `eval` start without them. No
+# command imports scipy.special: the log terms come from sbmfit._cephes and
+# its table of small ICL blocks, and exact search reads the search memos.
+# scipy.optimize is imported only for misclassification at k > 8.
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1

@@ -16,7 +16,7 @@ not with n^2. One fill function, _fill, alone fills the memos; the block
 term _f and best_move read the memos inline and call it on a miss. The
 memos are filled by scalar functions, math.log and the Cephes log-gamma
 port of sbmfit._cephes, which equal scipy.special's ufuncs bit for bit,
-so a greedy fit does not import scipy.special.
+so no search imports scipy.special.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
@@ -27,9 +27,9 @@ would not move either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
-numpy pass, with the array functions of the same records, which call
-scipy.special ufuncs imported on first use. It re-scores only the
-labelings that come near the largest potential seen so far with the
+numpy pass, with the same records' terms, looked up in arrays of the memo
+values that each search fills once (see _term_tables). It re-scores only
+the labelings that come near the largest potential seen so far with the
 vectorized objective of sbmfit.modularity, whose values alone decide the
 winner; the winner's recount is its result.
 """
@@ -139,31 +139,21 @@ def _xlogx(x):
     return x * math.log(x) if x else 0.0
 
 
-def _special(name):
-    """The scipy.special ufunc of that name, imported on first use: exact
-    search's array potentials alone need one."""
-    import scipy.special
-
-    return getattr(scipy.special, name)
-
-
 @dataclass(frozen=True)
 class _BlockTerm:
     """The term that a block of m node pairs holding o edge endpoints adds
     to an objective's potential: A[o] + A[m - o] - B[m] - beta.
 
-    A and B are memos that fill_a and fill_b fill at float(x); a_of and b_of
-    give the same values over an array. A diagonal block divides o and m by
-    h first, and the potential weights a block a < b by w, for the ordered
-    pairs it stands for.
+    A and B are memos that fill_a and fill_b fill at float(x); exact search
+    reads them through arrays (see _term_tables). A diagonal block divides
+    o and m by h first, and the potential weights a block a < b by w, for
+    the ordered pairs it stands for.
     """
 
     A: dict
     fill_a: object
-    a_of: object
     B: dict
     fill_b: object
-    b_of: object
     beta: float
     h: int
     w: float
@@ -171,15 +161,11 @@ class _BlockTerm:
 
 _BLOCK_TERMS = {
     # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
-    "ml": _BlockTerm(_XLOGX, _xlogx, lambda x: _special("xlogy")(x, x),
-                     _XLOGX, _xlogx, lambda x: _special("xlogy")(x, x), 0.0, 1, 2.0),
+    "ml": _BlockTerm(_XLOGX, _xlogx, _XLOGX, _xlogx, 0.0, 1, 2.0),
     # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
     # the unordered blocks, whose diagonal counts every pair twice.
     "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5),
-                      lambda x: _special("gammaln")(x + 0.5),
-                      _LGAMMA_INT, lambda x: lgam(x + 1.0),
-                      lambda x: _special("gammaln")(x + 1.0),
-                      LOG_BETA_HALF, 2, 1.0),
+                      _LGAMMA_INT, lambda x: lgam(x + 1.0), LOG_BETA_HALF, 2, 1.0),
 }
 
 
@@ -639,7 +625,17 @@ def _canonical_labelings(n, k, min_size, rows):
         yield z[feasible], sizes[feasible]
 
 
-def _potentials(z, sizes, src, dst, objective):
+def _term_tables(objective, n):
+    """The record of the objective and its memos A and B as float arrays over
+    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h."""
+    t = _BLOCK_TERMS[objective]
+    size = n * (n - 1) // t.h + 1
+    for x in range(size):
+        _f(t, 0, x)  # stores A[x] and B[x]
+    return t, np.array([t.A[x] for x in range(size)]), np.array([t.B[x] for x in range(size)])
+
+
+def _potentials(z, sizes, src, dst, tables):
     """Potential of each labeling row of z, given its community sizes.
 
     The block counts of a row are the counts of its label pairs
@@ -647,27 +643,35 @@ def _potentials(z, sizes, src, dst, objective):
     holds the pairs (a, b) and (b, a), so its endpoint count o_ab counts a
     within-block edge twice, as block_counters does. The potential sums
     the block terms of the objective's record over the blocks a <= b,
-    computed by its array ufuncs: A(o) - B(m) + A(m - o) - beta, the
-    diagonal counters divided by h first and each term off the diagonal
-    weighted by w. The counters are held as floats, whole numbers below
-    2^53, so the division by h is exact and the ufuncs see the same values
-    as from integers. The pair codes z[i] * k + z[j] fit in int8: a k >= 2
-    that passes the feasibility check and the guard has k <= n and
-    k^n <= 2 * 10^7, so k <= 8. In-place updates keep few chunk-sized
-    arrays alive at once.
+    looked up in the arrays of _term_tables: A[o] - B[m] + A[m - o] - beta,
+    the diagonal counters divided by h first and each term off the
+    diagonal weighted by w. The arrays hold the memo values, which equal
+    scipy.special's ufuncs at float(x) bit for bit, so each term is the
+    float those ufuncs gave over the counters. The pair codes
+    z[i] * k + z[j] fit in int8: a k >= 2 that passes the feasibility
+    check and the guard has k <= n and k^n <= 2 * 10^7, so k <= 8.
+    In-place updates keep few chunk-sized arrays alive at once.
+
+    The row sums depend on memory layout: numpy adds the terms of a row of
+    a column-major array one by one, and those of a row-major row pairwise
+    once it holds 8 or more. Column selection leaves the counters
+    column-major and subscripting the tables keeps that layout; A.take
+    returns a row-major array, whose sums move the last bit of some
+    potentials at k >= 4 (tests/test_search.py pins them to the scipy
+    ufunc form).
     """
-    t = _BLOCK_TERMS[objective]
+    t, A, B = tables
     k = sizes.shape[1]
     a, b = np.triu_indices(k)
     same = a == b
     pairs = _value_counts(z[:, src] * k + z[:, dst], k * k)
-    scale = np.where(same, 1.0 / t.h, 1.0)
-    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) * scale
-    m = sizes[:, a] * (sizes[:, b] - same) * scale
-    terms = t.a_of(o)
-    terms -= t.b_of(m)
+    h = np.where(same, t.h, 1)
+    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) // h
+    m = sizes[:, a] * (sizes[:, b] - same) // h
+    terms = A[o]
+    terms -= B[m]
     np.subtract(m, o, out=o)
-    terms += t.a_of(o)
+    terms += A[o]
     terms -= t.beta
     terms *= np.where(same, 1.0, t.w)
     return terms.sum(axis=1)
@@ -705,12 +709,13 @@ def exact_argmax(g, k, cfg):
     once = src < g.indices
     src, dst = src[once], g.indices[once]
     rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
+    tables = _term_tables(cfg.objective, n)
     best_value = best = None
     floor = -math.inf
     for z, sizes in _canonical_labelings(n, k, min_size, rows):
         if not len(z):
             continue
-        potentials = _potentials(z, sizes, src, dst, cfg.objective)
+        potentials = _potentials(z, sizes, src, dst, tables)
         top = float(potentials.max())
         floor = max(floor, top - _RESCORE_TOL * abs(top))
         near = np.flatnonzero(potentials >= floor)

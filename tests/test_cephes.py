@@ -1,12 +1,16 @@
 """The scalar Cephes ports against the scipy.special ufuncs, bit for bit.
 
 Each comparison is == on Python floats (NaN where both are NaN), over the
-arguments the objectives pass and seeded samples beyond them.
+arguments the objectives pass and seeded samples beyond them. lbeta's
+table of small blocks is checked against betaln over its whole domain.
 """
 
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from sbmfit import _cephes
@@ -98,10 +102,41 @@ class TestLbeta:
         self.check(np.minimum(o, n), n)
         self.check(n - np.minimum(o, n), n)
 
-    def test_small_blocks_go_to_scipy(self):
-        n = np.concatenate([np.full(m + 1, m) for m in range(0, 171)]).astype(float)
+    @staticmethod
+    def small_blocks():
+        """(o, m) for 0 <= o <= m <= 170, in the order of the table file."""
+        m = np.concatenate([np.full(m + 1, m) for m in range(0, 171)]).astype(float)
         o = np.concatenate([np.arange(m + 1) for m in range(0, 171)]).astype(float)
+        return o, m
+
+    def test_every_block_of_0_to_170_pairs(self):
+        # The table's whole domain, in both argument orders.
+        o, n = self.small_blocks()
         self.check(o, n)
+        self.check(n - o, n)
+
+    def test_small_block_table_is_betaln(self):
+        o, m = self.small_blocks()
+        want = betaln(o + 0.5, m - o + 0.5).astype("<f8").tobytes()
+        assert Path(_cephes._SMALL_TABLE).read_bytes() == want
+
+    @pytest.mark.parametrize("a, b", [
+        (1.0, 2.0), (0.5, 1.0), (2.25, 0.5), (85.5, 85.25), (0.0, 0.5), (0.5, -0.5),
+        (-0.5, 1.5), (-1.0, -2.0), (math.nan, 0.5), (0.5, math.nan),
+    ])
+    def test_small_branch_rejects_other_arguments(self, a, b):
+        # Below MAXGAM only half-integer pairs are served; scipy is not called.
+        with pytest.raises(ValueError, match="outside the ported branches"):
+            _cephes.lbeta(a, b)
+
+
+def test_table_ships_as_package_data():
+    table = resources.files("sbmfit").joinpath("lbeta_small.f64")
+    assert len(table.read_bytes()) == 8 * (171 * 172 // 2) == 117_648
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "lbeta_small.f64" in config["tool"]["setuptools"]["package-data"]["sbmfit"]
 
 
 def test_log_beta_half_literal():

@@ -262,15 +262,35 @@ def test_constant_command_leaves_out_scipy_special(params_file):
     assert out.splitlines()[-1] == "0 False"
 
 
-def test_exact_fit_imports_scipy_special_on_demand(tmp_path):
-    # Exact search's array potentials call the scipy.special ufuncs.
+def test_exact_fit_leaves_out_scipy_special(tmp_path):
+    # Exact search looks its terms up in arrays filled from the memos, and
+    # the ICL value of blocks of at most 170 pairs comes from lbeta's table.
     g_path, e_path = tmp_path / "g.txt", tmp_path / "e.txt"
     g_path.write_text("8 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n")
     for objective in ("ml", "icl"):
         out = _run_fresh(_SPECIAL_LOADED, "fit", str(g_path), "--objective", objective,
                          "--k", "2", "--alpha", "0.2", "--exact", "--out", str(e_path))
-        assert out.splitlines()[-1] == "0 True"
+        assert out.splitlines()[-1] == "0 False"
         assert e_path.read_text().split() == ["1"] * 4 + ["2"] * 4
+
+
+def test_small_icl_fit_leaves_out_scipy_special(tmp_path):
+    # At n = 26 every block of two communities holds at most 13 * 13 = 169
+    # node pairs, so each ICL block term of the fit comes from lbeta's table.
+    # S is scaled down from PARAMS_TEXT so that rho * S stays below 1.
+    params, g_path, e_path = tmp_path / "p.txt", str(tmp_path / "g.txt"), tmp_path / "e.txt"
+    params.write_text(PARAMS_TEXT.replace("9.0", "4.0"))
+    assert main(["sample", "--params", str(params), "--n", "26", "--seed", "5",
+                 "--out-graph", g_path, "--out-labels", str(tmp_path / "z.txt")]) == 0
+    out = _run_fresh(_SPECIAL_LOADED, "fit", g_path, "--objective", "icl", "--k", "2",
+                     "--restarts", "4", "--out", str(e_path))
+    assert out.splitlines()[-1] == "0 False"
+    assert len(Counter(e_path.read_text().split())) == 2
+
+
+def test_verify_command_leaves_out_scipy_special():
+    out = _run_fresh(_SPECIAL_LOADED, "verify", "--seed", "1")
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_module_entry_fit_and_usage_error(tmp_path, params_file):

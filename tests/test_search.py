@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, xlogy
+from scipy.special import betaln, gammaln, xlogy
 
 from sbmfit import (
     Graph,
@@ -368,8 +368,33 @@ class TestCachedBlockTerms:
                 assert state.table[j] == np.bincount(z[neighbors(g, j)], minlength=k).tolist()
 
 
+def ufunc_potentials(z, sizes, src, dst, objective):
+    """_potentials computed by the scipy.special ufuncs over float counters:
+    xlogy(x, x) for ML, gammaln(x + 1/2) and gammaln(x + 1) for ICL."""
+    if objective == "ml":
+        a_of = b_of = lambda x: xlogy(x, x)
+        beta, h, w = 0.0, 1.0, 2.0
+    else:
+        a_of, b_of = (lambda x: gammaln(x + 0.5)), (lambda x: gammaln(x + 1.0))
+        beta, h, w = float(betaln(0.5, 0.5)), 2.0, 1.0
+    k = sizes.shape[1]
+    a, b = np.triu_indices(k)
+    same = a == b
+    pairs = search._value_counts(z[:, src] * k + z[:, dst], k * k)
+    scale = np.where(same, 1.0 / h, 1.0)
+    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) * scale
+    m = sizes[:, a] * (sizes[:, b] - same) * scale
+    terms = a_of(o)
+    terms -= b_of(m)
+    terms += a_of(m - o)
+    terms -= beta
+    terms *= np.where(same, 1.0, w)
+    return terms.sum(axis=1)
+
+
 class TestBatchPotentials:
-    """Exact search's array terms against the greedy kernel's scalar terms."""
+    """Exact search's array terms against the greedy kernel's scalar terms,
+    and bit for bit against the scipy.special ufuncs."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
@@ -387,10 +412,27 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         got = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
-                                 objective)
+                                 search._term_tables(objective, n))
         for row, value in zip(rows, got.tolist()):
             want = _GreedyState(g, k, row, objective).full_potential()
             assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_rows_equal_ufunc_formula(self, seed, k, objective, data):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(k, 12))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        # Any labels, empty communities included: the tables cover m = 0.
+        z = rng.integers(0, k, size=(data.draw(st.integers(1, 8)), n)).astype(np.int8)
+        sizes = search._value_counts(z, k)
+        src = np.repeat(np.arange(n), g.degrees())
+        once = src < g.indices
+        src, dst = src[once], g.indices[once]
+        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
+        want = ufunc_potentials(z, sizes, src, dst, objective)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
 
 
 def assert_same_fit(got, want):
