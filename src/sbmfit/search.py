@@ -20,18 +20,23 @@ so no search imports scipy.special.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale; a large enough fit shares its restarts
-with forked workers (see _parallel_restarts). A visit whose node has the
-label and neighbour counts of a node already scored without a move since
-the last applied move is skipped: best_move reads nothing else, so it
-would not move either (see _run_restart).
+with forked workers (see _parallel_restarts). A fit builds what its
+restarts read and never write once, before any fork, as a _GreedyContext
+of lists no longer than n + 1; each restart builds only its own labels,
+counters and terms. A visit whose node has the label and neighbour
+counts of a node already scored without a move since the last applied
+move is skipped: best_move reads nothing else, so it would not move
+either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
 numpy pass, with the same records' terms, looked up in arrays of the memo
-values that each search fills once (see _term_tables). It re-scores only
-the labelings that come near the largest potential seen so far with the
-vectorized objective of sbmfit.modularity, whose values alone decide the
-winner; the winner's recount is its result.
+values (see _term_tables). Both the arrays and an enumeration that fits
+one chunk depend only on the shape of the search, and are kept read-only
+per shape for the life of the process (see _enumeration). It re-scores
+only the labelings that come near the largest potential seen so far with
+the vectorized objective of sbmfit.modularity, whose values alone decide
+the winner; the winner's recount is its result.
 """
 
 import fcntl
@@ -197,6 +202,32 @@ def _f(t, o, m):
         return _fill(t, o, m)
 
 
+@dataclass(frozen=True)
+class _GreedyContext:
+    """What every restart of one greedy fit reads and none writes.
+
+    greedy_argmax makes one before any fork, so forked workers inherit it;
+    it depends only on the graph, k and the objective. Every field is a
+    plain list no longer than n + 1: no list grows with the edge count.
+    """
+
+    indptr: list  # the graph's indptr, as ints
+    pairs: list  # pairs[c]: node pairs c(c - 1) / h of a diagonal block of c nodes
+    targets: list  # targets[a]: the communities b != a, ascending
+    others: list  # others[a][b]: the third communities of a move a -> b, ascending
+
+
+def _greedy_context(g, k, objective):
+    h = _BLOCK_TERMS[objective].h
+    return _GreedyContext(
+        indptr=g.indptr.tolist(),
+        pairs=[c * (c - 1) // h for c in range(g.n + 1)],
+        targets=[[b for b in range(k) if b != a] for a in range(k)],
+        others=[[[c for c in range(k) if c != a and c != b] for b in range(k)]
+                for a in range(k)],
+    )
+
+
 class _GreedyState:
     """Mutable labeling with integer block counters and cached block terms.
 
@@ -208,39 +239,41 @@ class _GreedyState:
     block among its targets.
     The labels z are a plain list, and table[i][c] counts the neighbours of
     node i in community c, an n x k list of lists built once from the edge
-    endpoints. apply_move refreshes rows and columns a and b of F and the
+    endpoints; the block counters o are one bincount of the endpoints'
+    label pairs. apply_move refreshes rows and columns a and b of F and the
     table rows of the moved node's neighbours. Callers read the rows of
     table and must not mutate them; row i stays valid across apply_move of
     node i itself, which changes only the rows of i's neighbours.
+    ctx is the fit's _GreedyContext for g, k and objective; a state made
+    without one builds its own.
     """
 
-    def __init__(self, g, k, labels, objective):
+    def __init__(self, g, k, labels, objective, ctx=None):
+        if ctx is None:
+            ctx = _greedy_context(g, k, objective)
         self.g = g
-        self.n = g.n
+        self.n = n = g.n
         self.k = k
         self._t = t = _BLOCK_TERMS[objective]
-        self._indptr = g.indptr.tolist()
+        self._indptr = ctx.indptr
+        self._others = ctx.others
         z = np.asarray(labels, dtype=np.int64)
-        if z.shape != (self.n,) or z.min() < 0 or z.max() >= k:
-            raise ValueError(f"labels must be {self.n} values in [0, {k})")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), g.degrees())
-        table = np.bincount(src * k + z[g.indices], minlength=self.n * k).reshape(self.n, k)
-        # o[a][b] sums the table rows of the nodes labelled a.
-        o = np.zeros((k, k), dtype=np.int64)
-        np.add.at(o, z, table)
+        if z.shape != (n,) or z.min() < 0 or z.max() >= k:
+            raise ValueError(f"labels must be {n} values in [0, {k})")
+        degrees = g.degrees()
+        dst = z[g.indices]
+        table = np.bincount(np.repeat(np.arange(n) * k, degrees) + dst, minlength=n * k)
+        # o[a][b] counts the endpoints (i, j) with z[i] = a and z[j] = b.
+        o = np.bincount(np.repeat(z * k, degrees) + dst, minlength=k * k)
         self.z = z.tolist()
         self.sizes = np.bincount(z, minlength=k).tolist()
-        self.o = o.tolist()
-        self.table = table.tolist()
-        # The third communities c of a move a -> b, in ascending order.
-        self._others = [[[c for c in range(k) if c != a and c != b] for b in range(k)]
-                        for a in range(k)]
-        # What best_move reads of the record, as one tuple, and the pair
-        # count of a diagonal block of each size: reading the fields one by
-        # one and computing the count per visit made greedy fits at n=200
-        # about 5% slower on 2 vCPUs.
-        self._kernel = (t.A, t.B, t.beta, t.h, t.w,
-                        [c * (c - 1) // t.h for c in range(self.n + 1)])
+        self.o = o.reshape(k, k).tolist()
+        self.table = table.reshape(n, k).tolist()
+        # What best_move reads of the record, as one tuple (apply_move
+        # reads its pair counts too):
+        # reading the fields one by one made greedy fits at n=200 about 5%
+        # slower on 2 vCPUs.
+        self._kernel = (t.A, t.B, t.beta, t.h, t.w, ctx.pairs)
         self.F = self.block_terms()
 
     def _term(self, a, b):
@@ -255,13 +288,12 @@ class _GreedyState:
 
     def full_potential(self):
         """Potential recomputed from the counters, not from the cached F."""
-        # Row by row: all ordered blocks for h = 1, the upper triangle for h = 2.
-        t, k, h = self.block_terms(), self.k, self._t.h
-        total = 0.0
-        for a in range(k):
-            for b in range(0 if h == 1 else a, k):
-                total += t[a][b]
-        return total
+        return _summed(self.block_terms(), self.k, self._t.h)
+
+    def potential(self):
+        """Potential summed from the cached F, in full_potential's order: F
+        equals block_terms() exactly, so the two are the same float."""
+        return _summed(self.F, self.k, self._t.h)
 
     def best_move(self, a, d, targets):
         """Largest potential change over relabeling one node from a to each
@@ -325,28 +357,41 @@ class _GreedyState:
 
     def apply_move(self, i, b, d):
         a = self.z[i]
-        o, F = self.o, self.F
-        for c in range(self.k):
+        s, o, F, t, k = self.sizes, self.o, self.F, self._t, self.k
+        for c in range(k):
             dc = d[c]
             if dc:
                 o[a][c] -= dc
                 o[c][a] -= dc
                 o[b][c] += dc
                 o[c][b] += dc
-        self.sizes[a] -= 1
-        self.sizes[b] += 1
+        s[a] -= 1
+        s[b] += 1
         self.z[i] = b
-        term = self._term
         # Block (b, a) is block (a, b): 2k - 1 distinct terms change.
-        for c in range(self.k):
-            F[a][c] = F[c][a] = term(a, c)
-            if c != a:
-                F[b][c] = F[c][b] = term(b, c)
+        h, pairs = t.h, self._kernel[5]
+        for r in (a, b):
+            sr, orow, Fr = s[r], o[r], F[r]
+            for c in range(k):
+                if c == r:
+                    Fr[r] = _f(t, orow[r] // h, pairs[sr])
+                elif r == a or c != a:
+                    Fr[c] = F[c][r] = _f(t, orow[c], sr * s[c])
         table, indptr = self.table, self._indptr
         for j in self.g.indices[indptr[i]:indptr[i + 1]].tolist():
             row = table[j]
             row[a] -= 1
             row[b] += 1
+
+
+def _summed(terms, k, h):
+    """Sum of a k x k block-term matrix, row by row: all ordered blocks for
+    h = 1, the upper triangle for h = 2."""
+    total = 0.0
+    for a in range(k):
+        for b in range(0 if h == 1 else a, k):
+            total += terms[a][b]
+    return total
 
 
 def _random_feasible_labels(rng, n, k, min_size):
@@ -396,11 +441,14 @@ def _finalize(g, labels, k, cfg, sweeps, restart_index, converged):
     )
 
 
-def _run_restart(g, k, cfg, min_size, restart):
+def _run_restart(g, k, cfg, min_size, restart, ctx=None):
     """One greedy restart, seeded by its index alone.
 
-    Returns (full potential, labels, sweeps, restart, converged), so any
-    process that runs restart r returns the same tuple.
+    Returns (potential, labels, sweeps, restart, converged), so any
+    process that runs restart r returns the same tuple; the potential is
+    summed from the cached block terms, the float full_potential gives. ctx
+    is the fit's _GreedyContext, which the restart only reads; without one
+    it builds its own.
 
     best_move reads only the node's label, its row of neighbour counts and
     the block state, which changes only when a move is applied. So the
@@ -413,13 +461,15 @@ def _run_restart(g, k, cfg, min_size, restart):
     pays: over ten restarts of an n=3000, k=2 fit it cuts the best_move
     calls by about a third.
     """
+    if ctx is None:
+        ctx = _greedy_context(g, k, cfg.objective)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, restart)))
     labels = _random_feasible_labels(rng, g.n, k, min_size)
-    state = _GreedyState(g, k, labels, cfg.objective)
+    state = _GreedyState(g, k, labels, cfg.objective, ctx)
     # Plain-list views of the state: a visit touches no numpy scalar.
     z, sizes, table = state.z, state.sizes, state.table
     best_move, apply_move = state.best_move, state.apply_move
-    targets = [[b for b in range(k) if b != a] for a in range(k)]
+    targets = ctx.targets
     quiet = set()  # signatures scored without a move since the last move
     sweeps = 0
     while sweeps < cfg.max_sweeps:
@@ -442,7 +492,7 @@ def _run_restart(g, k, cfg, min_size, restart):
         sweeps += 1
         if not improved:
             break
-    return state.full_potential(), z, sweeps, restart, not improved
+    return state.potential(), z, sweeps, restart, not improved
 
 
 def _restart_workers(n, restarts):
@@ -489,7 +539,7 @@ def _forked_worker(run, result_r, result_w):
         os._exit(status)
 
 
-def _parallel_restarts(g, k, cfg, min_size, workers):
+def _parallel_restarts(g, k, cfg, min_size, workers, ctx):
     """Every restart's result, from this process and workers - 1 forked children.
 
     The workers claim restart indices one at a time until none is left,
@@ -525,7 +575,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers):
             yield restart
 
     def run():
-        return [_run_restart(g, k, cfg, min_size, r) for r in claimed()]
+        return [_run_restart(g, k, cfg, min_size, r, ctx) for r in claimed()]
 
     children = []  # (pid, read end of its result pipe), not yet reaped
     try:
@@ -584,14 +634,16 @@ def greedy_argmax(g, k, cfg):
     earlier restart. Output labeling is canonical.
 
     The restarts of a large enough fit run on every CPU of the affinity
-    mask (see _restart_workers and _parallel_restarts).
+    mask (see _restart_workers and _parallel_restarts); all of them read
+    the fit's one _GreedyContext, made before any fork.
     """
     min_size = _min_size(g.n, k, cfg)
+    ctx = _greedy_context(g, k, cfg.objective)
     workers = _restart_workers(g.n, cfg.restarts)
     if workers > 1:
-        results = _parallel_restarts(g, k, cfg, min_size, workers)
+        results = _parallel_restarts(g, k, cfg, min_size, workers, ctx)
     else:
-        results = (_run_restart(g, k, cfg, min_size, r) for r in range(cfg.restarts))
+        results = (_run_restart(g, k, cfg, min_size, r, ctx) for r in range(cfg.restarts))
     # max keeps the first of equal potentials: a tie keeps the earlier restart.
     _, labels, sweeps, restart, converged = max(results, key=lambda result: result[0])
     return _finalize(g, labels, k, cfg, sweeps, restart, converged)
@@ -625,14 +677,48 @@ def _canonical_labelings(n, k, min_size, rows):
         yield z[feasible], sizes[feasible]
 
 
-def _term_tables(objective, n):
+# Exact search's arrays that depend on the shape of a search alone, kept
+# read-only for the life of the process: the canonical enumeration per
+# (n, k, min_size) when all of it fits one chunk, and the term tables per
+# (objective, n). Only k >= 2 is kept, where the enumeration guard bounds n
+# by 24 (see exact_argmax).
+_ENUMERATIONS = {}
+_TERM_TABLES = {}
+
+
+def _frozen(*arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _enumeration(n, k, min_size, rows):
+    """The chunks of _canonical_labelings(n, k, min_size, rows); the one
+    chunk of an enumeration that fits it is cached when k >= 2."""
+    if k < 2 or k ** (n - 1) > rows:
+        return _canonical_labelings(n, k, min_size, rows)
+    key = n, k, min_size
+    if key not in _ENUMERATIONS:
+        _ENUMERATIONS[key] = [_frozen(*chunk) for chunk in _canonical_labelings(*key, rows)]
+    return _ENUMERATIONS[key]
+
+
+def _term_tables(objective, n, k):
     """The record of the objective and its memos A and B as float arrays over
-    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h."""
+    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h. For
+    k >= 2 they are read-only and kept per (objective, n)."""
+    key = objective, n
+    if key in _TERM_TABLES:
+        return _TERM_TABLES[key]
     t = _BLOCK_TERMS[objective]
     size = n * (n - 1) // t.h + 1
     for x in range(size):
         _f(t, 0, x)  # stores A[x] and B[x]
-    return t, np.array([t.A[x] for x in range(size)]), np.array([t.B[x] for x in range(size)])
+    A, B = np.array([t.A[x] for x in range(size)]), np.array([t.B[x] for x in range(size)])
+    if k < 2:
+        return t, A, B
+    _TERM_TABLES[key] = tables = (t, *_frozen(A, B))
+    return tables
 
 
 def _potentials(z, sizes, src, dst, tables):
@@ -652,13 +738,12 @@ def _potentials(z, sizes, src, dst, tables):
     check and the guard has k <= n and k^n <= 2 * 10^7, so k <= 8.
     In-place updates keep few chunk-sized arrays alive at once.
 
-    The row sums depend on memory layout: numpy adds the terms of a row of
-    a column-major array one by one, and those of a row-major row pairwise
-    once it holds 8 or more. Column selection leaves the counters
-    column-major and subscripting the tables keeps that layout; A.take
-    returns a row-major array, whose sums move the last bit of some
-    potentials at k >= 4 (tests/test_search.py pins them to the scipy
-    ufunc form).
+    Each row is summed left to right over its blocks, one column at a
+    time, so a labeling's potential is the same float in a chunk of any
+    length. terms.sum(axis=1) would not be: numpy sums a row of a
+    row-major array pairwise once it holds 8 or more terms, and a one-row
+    chunk is row-major (tests/test_search.py pins the sums to the scipy
+    ufunc form in this order).
     """
     t, A, B = tables
     k = sizes.shape[1]
@@ -674,7 +759,10 @@ def _potentials(z, sizes, src, dst, tables):
     terms += A[o]
     terms -= t.beta
     terms *= np.where(same, 1.0, t.w)
-    return terms.sum(axis=1)
+    total = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    return total
 
 
 def exact_argmax(g, k, cfg):
@@ -684,7 +772,11 @@ def exact_argmax(g, k, cfg):
     first-occurrence canonical form are scored in lexicographic order, one
     chunk at a time, by numpy (see _canonical_labelings and _potentials).
     A chunk holds at most _EXACT_CHUNK // (n + m + k^2) labelings, so
-    memory stays bounded however large the label space.
+    memory stays bounded however large the label space. For k >= 2 the
+    term tables are kept per (objective, n), and an enumeration that fits
+    one chunk per (n, k, min_size), read-only, so repeated searches of one
+    shape enumerate once; the guard bounds n, and so the caches, and the
+    chunks are those _canonical_labelings yields.
 
     The re-scoring floor starts each chunk at least a relative _RESCORE_TOL
     below the chunk's largest potential and only ever rises: a labeling
@@ -709,10 +801,10 @@ def exact_argmax(g, k, cfg):
     once = src < g.indices
     src, dst = src[once], g.indices[once]
     rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
-    tables = _term_tables(cfg.objective, n)
+    tables = _term_tables(cfg.objective, n, k)
     best_value = best = None
     floor = -math.inf
-    for z, sizes in _canonical_labelings(n, k, min_size, rows):
+    for z, sizes in _enumeration(n, k, min_size, rows):
         if not len(z):
             continue
         potentials = _potentials(z, sizes, src, dst, tables)

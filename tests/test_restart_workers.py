@@ -139,13 +139,15 @@ class TestWorkerCountInvariance:
 def test_claim_counter_hands_out_each_restart_once(monkeypatch):
     # More workers than cores and near-empty restarts: a lost or doubled
     # claim would drop or repeat an index.
-    def trivial(g, k, cfg, min_size, restart):
+    def trivial(g, k, cfg, min_size, restart, ctx=None):
         return 0.0, [os.getpid()], 0, restart, True
 
     monkeypatch.setattr(search, "_run_restart", trivial)
     cfg = SearchConfig(restarts=500)
     start = time.monotonic()
-    results = search._parallel_restarts(small_graph(), 2, cfg, 1, workers=6)
+    g = small_graph()
+    ctx = search._greedy_context(g, 2, cfg.objective)
+    results = search._parallel_restarts(g, 2, cfg, 1, 6, ctx)
     assert time.monotonic() - start < 60
     assert [r[3] for r in results] == list(range(cfg.restarts))
     assert_no_children()
@@ -184,9 +186,9 @@ def kill_child_holding_the_claim_lock(tmp_path, monkeypatch, advanced):
         marker.touch()
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def after_child_locked(g, k, cfg, min_size, restart):
+    def after_child_locked(g, k, cfg, min_size, restart, ctx=None):
         wait_for(marker)
-        return run_restart(g, k, cfg, min_size, restart)
+        return run_restart(g, k, cfg, min_size, restart, ctx)
 
     monkeypatch.setattr(os, "pwrite", pwrite)
     monkeypatch.setattr(search, "_run_restart", after_child_locked)
@@ -204,12 +206,12 @@ class TestFailures:
         marker = tmp_path / "child-ran"
         run_restart = search._run_restart
 
-        def flaky(g, k, cfg, min_size, restart):
+        def flaky(g, k, cfg, min_size, restart, ctx=None):
             if os.getpid() != parent:
                 marker.touch()
                 raise ValueError(f"restart {restart} failed in a child")
             wait_for(marker)  # so the child claims a restart
-            return run_restart(g, k, cfg, min_size, restart)
+            return run_restart(g, k, cfg, min_size, restart, ctx)
 
         monkeypatch.setattr(search, "_run_restart", flaky)
         with pytest.raises(ValueError, match=r"restart \d+ failed in a child") as info:
@@ -223,7 +225,7 @@ class TestFailures:
         parent = os.getpid()
         markers = [tmp_path / f"child-{i}" for i in range(2)]
 
-        def stuck(g, k, cfg, min_size, restart):
+        def stuck(g, k, cfg, min_size, restart, ctx=None):
             if os.getpid() != parent:
                 # One marker per child, by the order of their claims.
                 for path in markers:
@@ -261,7 +263,7 @@ class TestFailures:
             forks.append(1)  # a child sees its own fork order
             return real_fork()
 
-        def split(g, k, cfg, min_size, restart):
+        def split(g, k, cfg, min_size, restart, ctx=None):
             if os.getpid() == parent:
                 for path in markers:
                     wait_for(path)

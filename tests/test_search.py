@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import zlib
@@ -389,7 +390,11 @@ def ufunc_potentials(z, sizes, src, dst, objective):
     terms += a_of(m - o)
     terms -= beta
     terms *= np.where(same, 1.0, w)
-    return terms.sum(axis=1)
+    # Each row left to right over the blocks, whatever the chunk's length.
+    total = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    return total
 
 
 class TestBatchPotentials:
@@ -412,7 +417,7 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         got = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
-                                 search._term_tables(objective, n))
+                                 search._term_tables(objective, n, k))
         for row, value in zip(rows, got.tolist()):
             want = _GreedyState(g, k, row, objective).full_potential()
             assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
@@ -430,9 +435,30 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         src, dst = src[once], g.indices[once]
-        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
+        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n, k))
         want = ufunc_potentials(z, sizes, src, dst, objective)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
+
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_row_alone_equals_row_in_a_chunk(self, k, objective):
+        # A one-row chunk is row-major and a longer one column-major; the
+        # potential of a labeling must not depend on which it sits in.
+        rng = np.random.default_rng(40 + k)
+        n = 11
+        tables = search._term_tables(objective, n, k)
+        for _ in range(30):
+            g = random_graph(rng, n, p=float(rng.uniform(0.1, 0.9)))
+            src = np.repeat(np.arange(n), g.degrees())
+            once = src < g.indices
+            src, dst = src[once], g.indices[once]
+            z = rng.integers(0, k, size=(7, n)).astype(np.int8)
+            sizes = search._value_counts(z, k)
+            chunk = search._potentials(z, sizes, src, dst, tables)
+            alone = np.concatenate([search._potentials(z[r:r + 1], sizes[r:r + 1], src, dst,
+                                                       tables) for r in range(len(z))])
+            assert np.array_equal(chunk.view(np.int64), alone.view(np.int64)), (z, chunk, alone)
 
 
 def assert_same_fit(got, want):
@@ -638,6 +664,66 @@ class TestExactReferenceOracle:
         assert len(calls) == 1
         monkeypatch.undo()
         assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
+
+
+class TestSharedContext:
+    """A fit's restarts read one _GreedyContext: the tuples of restarts that
+    share it equal those of restarts that each build their own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(4, 40), k=st.integers(2, 4),
+           objective=st.sampled_from(["ml", "icl"]))
+    def test_restarts_share_one_context(self, seed, n, k, objective):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
+        cfg = SearchConfig(objective=objective, alpha=0.5 / k, seed=int(rng.integers(2**31)))
+        min_size = search._min_size(n, k, cfg)
+        ctx = search._greedy_context(g, k, objective)
+        before = copy.deepcopy(ctx)
+        shared = [search._run_restart(g, k, cfg, min_size, r, ctx) for r in range(6)]
+        assert ctx == before
+        for r, got in enumerate(shared):
+            want = search._run_restart(g, k, cfg, min_size, r)
+            assert (got[0].hex(), *got[1:]) == (want[0].hex(), *want[1:])
+            # The potential summed from the cached terms is the recount's.
+            fresh = _GreedyState(g, k, got[1], objective)
+            assert got[0].hex() == fresh.full_potential().hex()
+
+
+class TestExactCaches:
+    """Exact search's cached enumerations and term tables change no result."""
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    @pytest.mark.parametrize("n,k", [(10, 2), (7, 3)])
+    def test_cold_warm_and_chunked_fits_agree(self, monkeypatch, n, k, objective):
+        for seed in range(4):
+            _, g = sample(balanced_params(k, 18.0, 1.0, 0.05), n, seed=seed)
+            cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
+            monkeypatch.setattr(search, "_ENUMERATIONS", {})
+            monkeypatch.setattr(search, "_TERM_TABLES", {})
+            cold = exact_argmax(g, k, cfg)
+            assert list(search._ENUMERATIONS) == [(n, k, search._min_size(n, k, cfg))]
+            warm = exact_argmax(g, k, cfg)
+            # An enumeration of more than one chunk is never cached.
+            monkeypatch.setattr(search, "_ENUMERATIONS", {})
+            budget = 7 * (n + g.edge_count + k * k)
+            with mock.patch.object(search, "_EXACT_CHUNK", budget):
+                chunked = exact_argmax(g, k, cfg)
+            assert search._ENUMERATIONS == {}
+            assert_same_fit(warm, cold)
+            assert_same_fit(chunked, cold)
+            assert_same_fit(cold, reference_exact_argmax(g, k, cfg))
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(search, "_ENUMERATIONS", {})
+        monkeypatch.setattr(search, "_TERM_TABLES", {})
+        cfg = SearchConfig(objective="icl", alpha=0.25, restarts=1)
+        exact_argmax(two_cliques(), 2, cfg)
+        [(z, sizes)] = search._ENUMERATIONS[(8, 2, search._min_size(8, 2, cfg))]
+        _, A, B = search._TERM_TABLES[("icl", 8)]
+        for x in (z, sizes, A, B):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
 
 
 class TestConverged:
