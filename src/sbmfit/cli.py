@@ -181,7 +181,7 @@ def _cmd_sample(args):
 def _cmd_fit(args):
     from .search import exact_argmax, greedy_argmax
 
-    g, _ = sbmio.read_edge_list(args.graph, header=False if args.no_header else "auto")
+    g, _ = sbmio.read_edge_list(args.graph, header=not args.no_header)
     cfg = _search_config(args)
     if args.exact:
         fit = exact_argmax(g, args.k, cfg)

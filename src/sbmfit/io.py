@@ -1,7 +1,8 @@
 """Text file formats: edge lists, labeling files and model parameter files.
 
-Edge list: optional header line ``n k``, then one ``i j`` pair per line,
-whitespace separated and 1-based. Labeling file: one 1-based integer label
+Edge list: a header line ``n k``, then one ``i j`` pair per line,
+whitespace separated and 1-based; a file without the header is read with
+header=False (``fit --no-header``). Labeling file: one 1-based integer label
 per line. Ids and labels are decimal integers that fit in int64. Parameter file: flat ``key = value`` lines (see read_params).
 """
 
@@ -58,25 +59,26 @@ def write_edge_list(path, g, k=0):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_edge_list(path, header="auto"):
+def read_edge_list(path, header=True):
     """Read an edge list, returning (Graph, k or None).
 
-    header may be True, False or "auto". In auto mode the first line is
-    treated as a header when reading it as an edge is impossible (a
-    self-loop) or when its first field is an upper bound for every node
-    index in the file. Ambiguous files should pass header explicitly.
+    With header=True, the format write_edge_list writes, the first line is
+    the header ``n k``; ParameterError unless 0 <= k <= n and no id exceeds
+    n. A file without a header must be read with header=False, which takes
+    n to be the largest id. A header's k = 0 reads as None.
 
     A pair listed more than once, in either orientation, is kept as one
     edge, and one UserWarning reports how many duplicates were merged.
     """
     rows = _read_int_rows(path, 2, "edge list")
-    if header == "auto":
-        first = rows[0].tolist()
-        rest_max = int(rows[1:].max()) if len(rows) > 1 else 0
-        header = first[0] == first[1] or (first[0] >= rest_max and first[1] <= first[0])
     if header:
         n, k = rows[0].tolist()
         edge_rows = rows[1:]
+        top = int(edge_rows.max()) if len(edge_rows) else 0
+        if not 0 <= k <= n or top > n:
+            raise ParameterError(
+                f"{path!r} does not start with a header 'n k' for its edges: n={n}, k={k}, "
+                f"largest id {top}; read a file without one with --no-header (header=False)")
     else:
         n = int(rows.max())
         k = 0

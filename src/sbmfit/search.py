@@ -19,8 +19,9 @@ port of sbmfit._cephes, which equal scipy.special's ufuncs bit for bit,
 so no search imports scipy.special.
 
 Greedy search is best-improvement single-node relabeling with random
-restarts, for experiment scale; a large enough fit shares its restarts
-with forked workers (see _parallel_restarts). A fit builds what its
+restarts, for experiment scale. The restarts of a fit are one _claim_map
+over their indices: a plain loop, or, for a large enough fit, a pool of
+forked workers that claim the indices one at a time. A fit builds what its
 restarts read and never write once, before any fork, as a _GreedyContext
 of lists no longer than n + 1; each restart builds only its own labels,
 counters and terms. A visit whose node has the label and neighbour
@@ -36,7 +37,8 @@ one chunk depend only on the shape of the search, and are kept read-only
 per shape for the life of the process (see _enumeration). It re-scores
 only the labelings that come near the largest potential seen so far with
 the vectorized objective of sbmfit.modularity, whose values alone decide
-the winner; the winner's recount is its result.
+the winner; the winner's recount is its result. At k = 1 the one labeling
+is scored alone, with no arrays.
 """
 
 import fcntl
@@ -539,43 +541,44 @@ def _forked_worker(run, result_r, result_w):
         os._exit(status)
 
 
-def _parallel_restarts(g, k, cfg, min_size, workers, ctx):
-    """Every restart's result, from this process and workers - 1 forked children.
+def _claim_map(count, task, workers):
+    """[task(0), ..., task(count - 1)], from this process and workers - 1 forked children.
 
-    The workers claim restart indices one at a time until none is left,
-    which evens out restarts of unequal length. The next index is one
-    8-byte record in an unnamed in-memory file made for this fit; a claim
-    takes a POSIX record lock on the file, reads the index, writes back the
-    index plus one and unlocks. The kernel drops the lock of a process that
-    dies, so no claimer ever waits on a dead one.
-    Each child pickles its results into its own pipe and leaves by
-    os._exit; a child that dies sends nothing, which raises RuntimeError.
-    Results are read from whichever child pipe is ready, so a dead child is
-    noticed while another one still runs. If anything raises here, a
-    child's exception included, the children still running are killed and
-    every child is reaped before the exception propagates.
+    With workers < 2 it is a plain loop in this process, so an exception
+    of a task propagates as it is. Otherwise the workers claim indices one
+    at a time until none is left, which evens out tasks of unequal length.
+    The next index is one 8-byte record in an unnamed in-memory file made
+    for this call; a claim takes a POSIX record lock on the file, reads the
+    index, writes back the index plus one and unlocks. The kernel drops the
+    lock of a process that dies, so no claimer ever waits on a dead one.
+    Each child pickles its (index, result) pairs into its own pipe and
+    leaves by os._exit; a child that dies sends nothing, which raises
+    RuntimeError. Results are read from whichever child pipe is ready, so a
+    dead child is noticed while another one still runs. If anything raises
+    here, a child's exception included, the children still running are
+    killed and every child is reaped before the exception propagates.
 
-    Every restart draws from its own seed, and the results come back sorted
-    by restart index, the order of the serial loop, so the fit does not
-    depend on the worker count.
+    The results come back in index order whoever ran them, so a caller
+    whose task(i) depends on i alone gets the same list from any worker
+    count.
     """
-    counter = os.memfd_create("sbmfit-restarts")
+    if workers < 2:
+        return [task(i) for i in range(count)]
+    counter = os.memfd_create("sbmfit-claims")
     os.pwrite(counter, (0).to_bytes(8, "little"), 0)
 
-    def claimed():
+    def run():
+        done = []
         while True:
             fcntl.lockf(counter, fcntl.LOCK_EX)
             try:
-                restart = int.from_bytes(os.pread(counter, 8, 0), "little")
-                os.pwrite(counter, (restart + 1).to_bytes(8, "little"), 0)
+                i = int.from_bytes(os.pread(counter, 8, 0), "little")
+                os.pwrite(counter, (i + 1).to_bytes(8, "little"), 0)
             finally:
                 fcntl.lockf(counter, fcntl.LOCK_UN)
-            if restart >= cfg.restarts:
-                return
-            yield restart
-
-    def run():
-        return [_run_restart(g, k, cfg, min_size, r, ctx) for r in claimed()]
+            if i >= count:
+                return done
+            done.append((i, task(i)))
 
     children = []  # (pid, read end of its result pipe), not yet reaped
     try:
@@ -590,7 +593,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers, ctx):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(result_w)
             children.append((pid, result_r))
-        results = run()
+        pairs = run()
         received = {result_r: [] for _, result_r in children}
         while children:
             ready = select.select([result_r for _, result_r in children], [], [])[0]
@@ -610,7 +613,7 @@ def _parallel_restarts(g, k, cfg, min_size, workers, ctx):
                 if not ok:
                     exc, text = payload
                     raise exc from RuntimeError(f"in restart worker {pid}:\n{text}")
-                results.extend(payload)
+                pairs.extend(payload)
     finally:
         for pid, result_r in children:
             os.close(result_r)
@@ -620,8 +623,8 @@ def _parallel_restarts(g, k, cfg, min_size, workers, ctx):
             except (ProcessLookupError, ChildProcessError):
                 pass
         os.close(counter)
-    results.sort(key=lambda result: result[3])
-    return results
+    pairs.sort(key=lambda pair: pair[0])
+    return [result for _, result in pairs]
 
 
 def greedy_argmax(g, k, cfg):
@@ -633,17 +636,15 @@ def greedy_argmax(g, k, cfg):
     move or max_sweeps is reached. The best restart wins; ties keep the
     earlier restart. Output labeling is canonical.
 
-    The restarts of a large enough fit run on every CPU of the affinity
-    mask (see _restart_workers and _parallel_restarts); all of them read
-    the fit's one _GreedyContext, made before any fork.
+    The restarts are one _claim_map over the restart indices, which a
+    large enough fit shares with forked workers on every CPU of the
+    affinity mask (see _restart_workers); all of them read the fit's one
+    _GreedyContext, made before any fork.
     """
     min_size = _min_size(g.n, k, cfg)
     ctx = _greedy_context(g, k, cfg.objective)
-    workers = _restart_workers(g.n, cfg.restarts)
-    if workers > 1:
-        results = _parallel_restarts(g, k, cfg, min_size, workers, ctx)
-    else:
-        results = (_run_restart(g, k, cfg, min_size, r, ctx) for r in range(cfg.restarts))
+    results = _claim_map(cfg.restarts, lambda r: _run_restart(g, k, cfg, min_size, r, ctx),
+                         _restart_workers(g.n, cfg.restarts))
     # max keeps the first of equal potentials: a tie keeps the earlier restart.
     _, labels, sweeps, restart, converged = max(results, key=lambda result: result[0])
     return _finalize(g, labels, k, cfg, sweeps, restart, converged)
@@ -680,8 +681,8 @@ def _canonical_labelings(n, k, min_size, rows):
 # Exact search's arrays that depend on the shape of a search alone, kept
 # read-only for the life of the process: the canonical enumeration per
 # (n, k, min_size) when all of it fits one chunk, and the term tables per
-# (objective, n). Only k >= 2 is kept, where the enumeration guard bounds n
-# by 24 (see exact_argmax).
+# (objective, n). Exact search builds them only for k >= 2, where the
+# enumeration guard bounds n by 24 (see exact_argmax).
 _ENUMERATIONS = {}
 _TERM_TABLES = {}
 
@@ -694,8 +695,8 @@ def _frozen(*arrays):
 
 def _enumeration(n, k, min_size, rows):
     """The chunks of _canonical_labelings(n, k, min_size, rows); the one
-    chunk of an enumeration that fits it is cached when k >= 2."""
-    if k < 2 or k ** (n - 1) > rows:
+    chunk of an enumeration that fits it is cached."""
+    if k ** (n - 1) > rows:
         return _canonical_labelings(n, k, min_size, rows)
     key = n, k, min_size
     if key not in _ENUMERATIONS:
@@ -703,10 +704,10 @@ def _enumeration(n, k, min_size, rows):
     return _ENUMERATIONS[key]
 
 
-def _term_tables(objective, n, k):
+def _term_tables(objective, n):
     """The record of the objective and its memos A and B as float arrays over
-    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h. For
-    k >= 2 they are read-only and kept per (objective, n)."""
+    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h,
+    read-only and kept per (objective, n)."""
     key = objective, n
     if key in _TERM_TABLES:
         return _TERM_TABLES[key]
@@ -715,8 +716,6 @@ def _term_tables(objective, n, k):
     for x in range(size):
         _f(t, 0, x)  # stores A[x] and B[x]
     A, B = np.array([t.A[x] for x in range(size)]), np.array([t.B[x] for x in range(size)])
-    if k < 2:
-        return t, A, B
     _TERM_TABLES[key] = tables = (t, *_frozen(A, B))
     return tables
 
@@ -772,16 +771,16 @@ def exact_argmax(g, k, cfg):
     first-occurrence canonical form are scored in lexicographic order, one
     chunk at a time, by numpy (see _canonical_labelings and _potentials).
     A chunk holds at most _EXACT_CHUNK // (n + m + k^2) labelings, so
-    memory stays bounded however large the label space. For k >= 2 the
-    term tables are kept per (objective, n), and an enumeration that fits
-    one chunk per (n, k, min_size), read-only, so repeated searches of one
-    shape enumerate once; the guard bounds n, and so the caches, and the
-    chunks are those _canonical_labelings yields.
+    memory stays bounded however large the label space. The term tables
+    are kept per (objective, n), and an enumeration that fits one chunk
+    per (n, k, min_size), read-only, so repeated searches of one shape
+    enumerate once; the guard bounds n, and so the caches, and the chunks
+    are those _canonical_labelings yields. At k = 1, which the guard does
+    not bound, the one labeling, all nodes in one community, is scored
+    alone, with no tables.
 
-    The re-scoring floor starts each chunk at least a relative _RESCORE_TOL
-    below the chunk's largest potential and only ever rises: a labeling
-    that is re-scored and beats the best value so far lifts it to the same
-    distance below its own potential. Only labelings at or above the floor
+    The re-scoring floor lies a relative _RESCORE_TOL below the largest
+    potential of the chunks so far. Only labelings at or above the floor
     are re-scored from block_counters by the vectorized objective, and only
     those values are compared; ties keep the lexicographically smallest
     canonical labeling. The winner with the best value lies above every
@@ -797,11 +796,16 @@ def exact_argmax(g, k, cfg):
             f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
     score = _scorer(cfg.objective)
+    if k == 1:
+        best = Labeling(np.zeros(n, dtype=np.int64), 1)
+        return FitResult(labeling=best, objective_value=score(block_counters(g, best)),
+                         objective=cfg.objective, sweeps_used=0, restart_index=0,
+                         feasible=True, converged=True)
     src = np.repeat(np.arange(n), g.degrees())
     once = src < g.indices
     src, dst = src[once], g.indices[once]
     rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
-    tables = _term_tables(cfg.objective, n, k)
+    tables = _term_tables(cfg.objective, n)
     best_value = best = None
     floor = -math.inf
     for z, sizes in _enumeration(n, k, min_size, rows):
@@ -810,18 +814,11 @@ def exact_argmax(g, k, cfg):
         potentials = _potentials(z, sizes, src, dst, tables)
         top = float(potentials.max())
         floor = max(floor, top - _RESCORE_TOL * abs(top))
-        near = np.flatnonzero(potentials >= floor)
-        j = 0
-        while j < len(near):
-            r = near[j]
-            j += 1
+        for r in np.flatnonzero(potentials >= floor):
             lab = Labeling(z[r], k)
             value = score(block_counters(g, lab))
             if best is None or value > best_value:
                 best_value, best = value, lab
-                potential = float(potentials[r])
-                floor = max(floor, potential - _RESCORE_TOL * abs(potential))
-                near, j = r + 1 + np.flatnonzero(potentials[r + 1:] >= floor), 0
     if best is None:
         raise InfeasibleError(
             f"no labeling of {n} nodes into {k} communities meets alpha={cfg.alpha}"

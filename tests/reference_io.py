@@ -18,7 +18,7 @@ from sbmfit.graphs import Graph, Labeling
 from sbmfit.io import _content_lines
 
 
-def reference_read_edge_list(path, header="auto"):
+def reference_read_edge_list(path, header=True):
     rows = []
     for line in _content_lines(path):
         try:
@@ -29,13 +29,11 @@ def reference_read_edge_list(path, header="auto"):
     if not rows:
         raise ParameterError(f"empty edge list file {path!r}")
 
-    if header == "auto":
-        first = rows[0]
-        rest_max = max((max(i, j) for i, j in rows[1:]), default=0)
-        header = first[0] == first[1] or (first[0] >= rest_max and first[1] <= first[0])
     if header:
         n, k = rows[0]
         edge_rows = rows[1:]
+        if not 0 <= k <= n or any(max(i, j) > n for i, j in edge_rows):
+            raise ParameterError(f"{path!r} does not start with a header for its edges")
     else:
         n = max(max(i, j) for i, j in rows)
         k = 0

@@ -188,6 +188,17 @@ def test_fit_headerless_edge_list(tmp_path):
     assert len((tmp_path / "e.txt").read_text().split()) == 8
 
 
+def test_fit_headerless_edge_list_without_flag_is_usage_error(tmp_path, capsys):
+    # Read as a header, "2 1" gives n = 2, and ids up to 8 exceed it.
+    g_path = tmp_path / "bare.txt"
+    g_path.write_text("2 1\n3 4\n5 6\n7 8\n")
+    rc = main(["fit", str(g_path), "--k", "2", "--alpha", "0.2", "--restarts", "3",
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 2
+    assert "--no-header" in capsys.readouterr().err
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_fit_stopped_at_max_sweeps_warns(tmp_path, params_file, capsys):
     g_path = str(tmp_path / "g.txt")
     main(["sample", "--params", params_file, "--n", "80", "--seed", "4",

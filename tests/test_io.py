@@ -44,12 +44,30 @@ class TestEdgeList:
         assert g.n == 3 and k is None
         assert g.edges() == [(0, 1), (1, 2)]
 
-    def test_auto_header_detection(self, tmp_path):
+    def test_header_read_by_default(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("5 2\n1 2\n4 5\n")
         g, k = read_edge_list(path)
         assert g.n == 5 and k == 2
         assert g.edge_count == 2
+
+    def test_headerless_file_keeps_its_first_edge(self, tmp_path):
+        # The first line could be a header of 4 nodes and 3 communities;
+        # read without one, edge 4-3 is kept.
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n1 2\n2 4\n")
+        g, k = read_edge_list(path, header=False)
+        assert g.n == 4 and k is None
+        assert g.edges() == [(0, 1), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("text", ["1 2\n2 3\n", "3 4\n1 2\n", "3 1\n1 2\n2 4\n",
+                                      "3 -1\n1 2\n", "-2 0\n"])
+    def test_headerless_file_read_with_header_is_refused(self, tmp_path, text):
+        # k above n, a negative field, or an id above n.
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="--no-header"):
+            read_edge_list(path)
 
     def test_empty_graph_with_header(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -61,7 +79,7 @@ class TestEdgeList:
         path = tmp_path / "dups.txt"
         path.write_text("1 2\n2 1\n1 2\n")
         with pytest.warns(UserWarning, match="merged 2 duplicate edges") as record:
-            g, k = read_edge_list(path)
+            g, k = read_edge_list(path, header=False)
         assert len(record) == 1 and "dups.txt" in str(record[0].message)
         assert g.n == 2 and g.edge_count == 1 and k is None
 
@@ -150,7 +168,7 @@ class TestReadersAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(text=_text(2, ("", "", "30 2\n", "30 0\n", "# n k\n31 3\n")),
-           header=st.sampled_from(["auto", "auto", True, False]))
+           header=st.sampled_from([True, False]))
     def test_edge_list(self, scratch_file, text, header):
         scratch_file.write_text(text)
 

@@ -75,7 +75,7 @@ def hang_guard(request):
     """Fail a restart-protocol test that runs past the 60 s these tests
     assert as their bound, instead of hanging the suite."""
     claim_count = request.function is test_claim_counter_hands_out_each_restart_once
-    if request.cls is TestFailures or claim_count:
+    if request.cls in (TestFailures, TestClaimMap) or claim_count:
         with hard_timeout(60):
             yield
     else:
@@ -136,21 +136,43 @@ class TestWorkerCountInvariance:
         assert_same_fit(greedy_argmax(g, 3, cfg), want)
 
 
-def test_claim_counter_hands_out_each_restart_once(monkeypatch):
-    # More workers than cores and near-empty restarts: a lost or doubled
+def test_claim_counter_hands_out_each_restart_once():
+    # More workers than cores and near-empty tasks: a lost or doubled
     # claim would drop or repeat an index.
-    def trivial(g, k, cfg, min_size, restart, ctx=None):
-        return 0.0, [os.getpid()], 0, restart, True
-
-    monkeypatch.setattr(search, "_run_restart", trivial)
-    cfg = SearchConfig(restarts=500)
     start = time.monotonic()
-    g = small_graph()
-    ctx = search._greedy_context(g, 2, cfg.objective)
-    results = search._parallel_restarts(g, 2, cfg, 1, 6, ctx)
+    results = search._claim_map(500, lambda i: (i, os.getpid()), 6)
     assert time.monotonic() - start < 60
-    assert [r[3] for r in results] == list(range(cfg.restarts))
+    assert [i for i, _ in results] == list(range(500))
     assert_no_children()
+
+
+class TestClaimMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_index_order(self, workers):
+        # Workers interleave their claims and each sends its pairs as one
+        # block, so only the merge puts the results in index order.
+        results = search._claim_map(12, lambda i: time.sleep(0.001 * (12 - i)) or i * i,
+                                    workers)
+        assert results == [i * i for i in range(12)]
+        assert_no_children()
+
+    def test_one_worker_raises_the_task_exception_itself(self, monkeypatch):
+        # A plain loop: no fork, no claim record, no wrapped exception.
+        refuse_fork(monkeypatch)
+        monkeypatch.setattr(os, "memfd_create", lambda *args: pytest.fail("memfd_create called"),
+                            raising=False)
+        ran = []
+
+        def task(i):
+            if i == 3:
+                raise KeyError(i)
+            ran.append(i)
+            return i
+
+        with pytest.raises(KeyError) as info:
+            search._claim_map(6, task, 1)
+        assert type(info.value) is KeyError and info.value.__cause__ is None
+        assert ran == [0, 1, 2]
 
 
 class TestReferenceOracleForked:

@@ -417,7 +417,7 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         got = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
-                                 search._term_tables(objective, n, k))
+                                 search._term_tables(objective, n))
         for row, value in zip(rows, got.tolist()):
             want = _GreedyState(g, k, row, objective).full_potential()
             assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
@@ -435,7 +435,7 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         src, dst = src[once], g.indices[once]
-        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n, k))
+        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
         want = ufunc_potentials(z, sizes, src, dst, objective)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
 
@@ -447,7 +447,7 @@ class TestBatchPotentials:
         # potential of a labeling must not depend on which it sits in.
         rng = np.random.default_rng(40 + k)
         n = 11
-        tables = search._term_tables(objective, n, k)
+        tables = search._term_tables(objective, n)
         for _ in range(30):
             g = random_graph(rng, n, p=float(rng.uniform(0.1, 0.9)))
             src = np.repeat(np.arange(n), g.degrees())
@@ -713,6 +713,21 @@ class TestExactCaches:
             assert_same_fit(warm, cold)
             assert_same_fit(chunked, cold)
             assert_same_fit(cold, reference_exact_argmax(g, k, cfg))
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_one_community_fills_no_memo(self, monkeypatch, objective):
+        # The guard does not bound n at k = 1: tables over every pair count
+        # of a 600-node path would add 359,401 memo entries for one labeling.
+        monkeypatch.setattr(search, "_ENUMERATIONS", {})
+        monkeypatch.setattr(search, "_TERM_TABLES", {})
+        memos = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
+        before = [len(memo) for memo in memos]
+        g = Graph.from_edges(600, [(i, i + 1) for i in range(599)])
+        cfg = SearchConfig(objective=objective, restarts=1)
+        fit = exact_argmax(g, 1, cfg)
+        assert [len(memo) for memo in memos] == before
+        assert search._ENUMERATIONS == {} and search._TERM_TABLES == {}
+        assert_same_fit(fit, reference_exact_argmax(g, 1, cfg))
 
     def test_cached_arrays_are_read_only(self, monkeypatch):
         monkeypatch.setattr(search, "_ENUMERATIONS", {})
