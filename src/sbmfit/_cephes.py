@@ -1,40 +1,23 @@
 """Scalar ports of the Cephes routines behind the objectives' block terms.
 
-scipy.special computes gammaln, xlogy, xlog1py and betaln with Moshier's
-Cephes library (Methods and Programs for Mathematical Functions, 1989).
-These are ports of lgam, log1p and the log-gamma branches of lbeta that
-keep Cephes' operation order and call the same libm log and sin, so each
-returns the float the scipy ufunc returns at a float argument;
-tests/test_cephes.py compares them bit for bit. Importing scipy.special
-costs a command about 0.27 s and 20 MB, which no sbmfit command pays.
+scipy.special computes gammaln, xlogy and xlog1py with Moshier's Cephes
+library (Methods and Programs for Mathematical Functions, 1989). These are
+ports of lgam and log1p that keep Cephes' operation order and call the
+same libm log and sin, so each returns the float the scipy ufunc returns
+at a float argument; tests/test_cephes.py compares them bit for bit.
+Importing scipy.special costs a command about 0.27 s and 20 MB, which no
+sbmfit command pays.
 
 The polynomials are written out in Horner form, literal coefficients
 included: a scalar call is a few hundred nanoseconds, so a loop over a
 coefficient tuple or a global lookup is a visible share of it.
 
-lbeta's remaining branch, a ratio of Gamma values used when
-a + b <= MAXGAM, is not ported: a port must match scipy's Gamma and its
-ratio order bit for bit, and one that was tried missed by one ulp on about
-1% of the arguments. The objectives call that branch only for ICL blocks
-of at most 170 node pairs, at a = o + 1/2 and b = m - o + 1/2 with
-0 <= o <= m <= 170, and lbeta reads those 14,706 values from a table,
-lbeta_small.f64 beside this module: betaln at each (o, m) in the order
-m = 0 .. 170, o = 0 .. m, as little-endian float64, made once by
-scipy.special.betaln. tests/test_cephes.py checks the file against betaln
-byte for byte and lbeta against betaln over the whole domain.
+The integrated likelihood's log-beta values need no port of their own:
+its block term is a sum of lgam values (see sbmfit.modularity).
 """
 
 import math
-import os
-import sys
 from math import log
-
-# lbeta evaluates log-gamma values above this, and Gamma values below it.
-MAXGAM = 171.624376956302725
-# The largest block, in node pairs, whose lbeta value is read from the table.
-_SMALL_PAIRS = 170
-_SMALL_TABLE = os.path.join(os.path.dirname(__file__), "lbeta_small.f64")
-_small = None  # the table as an array('d'), read on first use
 
 
 def _clog(y):
@@ -134,48 +117,3 @@ def xlog1py(x, y):
     if x == 0.0 and y == y:
         return 0.0
     return x * log1p(y)
-
-
-def _small_lbeta():
-    """The table of lbeta at the half-integer pairs of blocks up to 170 pairs."""
-    global _small
-    if _small is None:
-        # Imported here: the array extension adds about 0.2 MB to a process
-        # that never reads the table, as a greedy fit of large blocks.
-        from array import array
-
-        table = array("d")
-        with open(_SMALL_TABLE, "rb") as fh:
-            table.fromfile(fh, (_SMALL_PAIRS + 1) * (_SMALL_PAIRS + 2) // 2)
-        if sys.byteorder == "big":
-            table.byteswap()
-        _small = table
-    return _small
-
-
-def lbeta(a, b):
-    """log|B(a, b)|, Cephes lbeta: scipy.special.betaln at floats.
-
-    Ported are the branches for a, b > 0 that lgam serves: the asymptotic
-    series when the larger argument exceeds 10^6 and 10^6 times the
-    smaller, and log-gamma values when a + b > MAXGAM. Below that, the
-    arguments must be o + 1/2 and m - o + 1/2 for whole numbers
-    0 <= o <= m, as in an ICL block, and the value comes from the table of
-    betaln; any other argument raises ValueError.
-    """
-    if a < b:
-        a, b = b, a
-    if b > 0.0:
-        if a > 1e6 * b and a > 1e6:
-            r = lgam(b) - b * log(a)
-            r += b * (1 - b) / (2 * a)
-            r += b * (1 - b) * (1 - 2 * b) / (12 * a * a)
-            return r + -b * b * (1 - b) * (1 - b) / (12 * a * a * a)
-        if a + b > MAXGAM:
-            return lgam(a) + (lgam(b) - lgam(a + b))
-        o, r = a - 0.5, b - 0.5
-        if o.is_integer() and r.is_integer():
-            m = int(o + r)
-            return _small_lbeta()[m * (m + 1) // 2 + int(o)]
-    raise ValueError(f"lbeta({a!r}, {b!r}) is outside the ported branches and the "
-                     f"table of half-integer pairs up to {_SMALL_PAIRS} node pairs")

@@ -22,9 +22,9 @@ from .graphs import (
 )
 from .io import write_labeling
 from .metrics import nmi
-from .modularity import modularity_gap
+from .modularity import _BLOCK_TERMS, modularity_gap
 from .sampling import SbmParams, derive_seed, expected_block_density, expected_edge_counts, sample
-from .search import _BLOCK_TERMS, SearchConfig, _GreedyState, exact_argmax, greedy_argmax
+from .search import SearchConfig, _GreedyState, exact_argmax, greedy_argmax
 from .theory import edge_count_deviation, ml_identity_residual, phase_transition_constant
 
 

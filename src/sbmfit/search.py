@@ -1,22 +1,17 @@
 """Maximizers of the two objectives over the constrained label space.
 
 The two objectives differ only in the term each block pair adds, and each
-is one _BlockTerm record of that term, which both searches read. Greedy
-search runs on one move kernel, _GreedyState: integer block counters, the
-current objective term of every block pair and, per node, the count of
-its neighbours in each community. It keeps no running total;
-a search sums the cached terms when it needs the objective. A greedy node
-visit is one best_move call that scores every target community: the
-node's old block after the removal is one new term for all targets, and
-each target adds O(k) more, so a visit costs O(k^2) terms; an applied
-move costs O(degree + k) to update the tables. The x*log(x) and log-gamma
-values behind the terms are memoized per integer argument for the life of
-the process, so memory grows with the distinct counts a search visits,
-not with n^2. One fill function, _fill, alone fills the memos; the block
-term _f and best_move read the memos inline and call it on a miss. The
-memos are filled by scalar functions, math.log and the Cephes log-gamma
-port of sbmfit._cephes, which equal scipy.special's ufuncs bit for bit,
-so no search imports scipy.special.
+is one _BlockTerm record of that term, defined with its memos in
+sbmfit.modularity; both searches read the records. Greedy search runs on
+one move kernel, _GreedyState: integer block counters, the current
+objective term of every block pair and, per node, the count of its
+neighbours in each community. It keeps no running total; a search sums
+the cached terms when it needs the objective. A greedy node visit is one
+best_move call that scores every target community: the node's old block
+after the removal is one new term for all targets, and each target adds
+O(k) more, so a visit costs O(k^2) terms; an applied move costs
+O(degree + k) to update the tables. best_move reads the records' memos
+inline and calls modularity._fill on a miss.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale. The restarts of a fit are one _claim_map
@@ -35,10 +30,11 @@ numpy pass, with the same records' terms, looked up in arrays of the memo
 values (see _term_tables). Both the arrays and an enumeration that fits
 one chunk depend only on the shape of the search, and are kept read-only
 per shape for the life of the process (see _enumeration). It re-scores
-only the labelings that come near the largest potential seen so far with
-the vectorized objective of sbmfit.modularity, whose values alone decide
-the winner; the winner's recount is its result. At k = 1 the one labeling
-is scored alone, with no arrays.
+only the labelings that come near the largest potential seen so far, one
+per distinct matrix of block counters, with the public objective of
+sbmfit.modularity, whose values alone decide the winner; the winner's
+recount is its result. At k = 1 the one labeling is scored alone, with
+no arrays.
 """
 
 import fcntl
@@ -53,15 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cephes import lgam
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
-from .modularity import (
-    LOG_BETA_HALF,
-    OBJECTIVES,
-    icl_from_counters,
-    ml_from_counters,
-)
+from .modularity import _BLOCK_TERMS, OBJECTIVES, _f, _fill, icl_from_counters, ml_from_counters
 from .sampling import derive_seed
 
 _EXACT_GUARD = 2 * 10**7
@@ -127,81 +117,6 @@ class FitResult:
     restart_index: int
     feasible: bool
     converged: bool
-
-
-# Memos of x*log(x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
-# arguments searches have visited. They are shared by every fit in the
-# process, so a sweep fills them once. Each value comes from a scalar
-# function, _xlogx or the Cephes port lgam, that returns at float(x) the
-# bits the scipy ufunc (xlogy(x, x), gammaln) returns over an array. A
-# forked restart worker starts from the parent's memos and its own fills
-# die with it.
-_XLOGX = {}
-_LGAMMA_HALF = {}
-_LGAMMA_INT = {}
-
-
-def _xlogx(x):
-    # Scalar xlogy(x, x) without the ufunc dispatch: the same log and product.
-    return x * math.log(x) if x else 0.0
-
-
-@dataclass(frozen=True)
-class _BlockTerm:
-    """The term that a block of m node pairs holding o edge endpoints adds
-    to an objective's potential: A[o] + A[m - o] - B[m] - beta.
-
-    A and B are memos that fill_a and fill_b fill at float(x); exact search
-    reads them through arrays (see _term_tables). A diagonal block divides
-    o and m by h first, and the potential weights a block a < b by w, for
-    the ordered pairs it stands for.
-    """
-
-    A: dict
-    fill_a: object
-    B: dict
-    fill_b: object
-    beta: float
-    h: int
-    w: float
-
-
-_BLOCK_TERMS = {
-    # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
-    "ml": _BlockTerm(_XLOGX, _xlogx, _XLOGX, _xlogx, 0.0, 1, 2.0),
-    # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
-    # the unordered blocks, whose diagonal counts every pair twice.
-    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5),
-                      _LGAMMA_INT, lambda x: lgam(x + 1.0), LOG_BETA_HALF, 2, 1.0),
-}
-
-
-# The block terms subscript the memos first and fill the missing entries
-# only after the KeyError. Membership tests on every call instead made
-# greedy fits at n=200 about 5% slower on 2 vCPUs, and a dict subclass with
-# __missing__ 10-20% slower: subscripting one loses the interpreter's fast
-# path, in best_move too. A miss goes straight to _fill, the one copy of
-# the fill rule, which tests membership before it subscripts, so a miss
-# raises one KeyError, not two. A fresh process misses often: ten restarts
-# of a cold n=3000 fit (46k edges) miss about 120k times in one process.
-def _fill(t, o, m):
-    """Block term of record t after storing any memo entry it lacks."""
-    A, B = t.A, t.B
-    for x in (o, m - o):
-        if x not in A:
-            A[x] = t.fill_a(float(x))
-    if m not in B:
-        B[m] = t.fill_b(float(m))
-    return A[o] + A[m - o] - B[m] - t.beta
-
-
-def _f(t, o, m):
-    """Block term of record t at o endpoints in m pairs; +0.0 for m = 0."""
-    A = t.A
-    try:
-        return A[o] + A[m - o] - t.B[m] - t.beta
-    except KeyError:
-        return _fill(t, o, m)
 
 
 @dataclass(frozen=True)
@@ -309,8 +224,8 @@ class _GreedyState:
         summed in a fixed order, so equal counters always give the same
         float. A block with no pairs (m = 0) needs no test: its subscripted
         term is exactly +0.0, as _f returns, because x*log(x) is 0 at 0 and
-        lgam(1/2) + lgam(1/2) - lgam(1) is the float LOG_BETA_HALF
-        (tests/test_cephes.py pins both).
+        lgam(1/2) + lgam(1/2) - lgam(1) is the float
+        modularity.LOG_BETA_HALF (tests/test_cephes.py pins both).
         """
         s, o, F, t = self.sizes, self.o, self.F, self._t
         A, B, beta, h, w, pairs = self._kernel
@@ -721,7 +636,8 @@ def _term_tables(objective, n):
 
 
 def _potentials(z, sizes, src, dst, tables):
-    """Potential of each labeling row of z, given its community sizes.
+    """Potential of each labeling row of z, given its community sizes, and
+    the endpoint counts o_ab of its blocks a <= b.
 
     The block counts of a row are the counts of its label pairs
     (z[i], z[j]) over the edges i < j listed by src and dst: block a <= b
@@ -750,7 +666,8 @@ def _potentials(z, sizes, src, dst, tables):
     same = a == b
     pairs = _value_counts(z[:, src] * k + z[:, dst], k * k)
     h = np.where(same, t.h, 1)
-    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) // h
+    counts = pairs[:, a * k + b] + pairs[:, b * k + a]
+    o = counts // h
     m = sizes[:, a] * (sizes[:, b] - same) // h
     terms = A[o]
     terms -= B[m]
@@ -761,7 +678,7 @@ def _potentials(z, sizes, src, dst, tables):
     total = terms[:, 0].copy()
     for j in range(1, terms.shape[1]):
         total += terms[:, j]
-    return total
+    return total, counts
 
 
 def exact_argmax(g, k, cfg):
@@ -781,10 +698,15 @@ def exact_argmax(g, k, cfg):
 
     The re-scoring floor lies a relative _RESCORE_TOL below the largest
     potential of the chunks so far. Only labelings at or above the floor
-    are re-scored from block_counters by the vectorized objective, and only
+    are re-scored from block_counters by the public objective, and only
     those values are compared; ties keep the lexicographically smallest
     canonical labeling. The winner with the best value lies above every
-    floor, and at n = 10 it is usually the only labeling re-scored. Every
+    floor, and at n = 10 it is usually the only labeling re-scored. A
+    labeling whose sizes and block endpoint counts equal those of one
+    re-scored before, in any chunk, is skipped: its counters, and so its
+    value, are the same, and the tie keeps the earlier one. So a graph
+    whose labelings tie by the thousand, as the empty and the complete
+    graph do, pays one recount per distinct counter matrix. Every
     enumerated labeling is canonical and feasible, so the winner's recount
     is the result as it stands.
     """
@@ -808,13 +730,18 @@ def exact_argmax(g, k, cfg):
     tables = _term_tables(cfg.objective, n)
     best_value = best = None
     floor = -math.inf
+    rescored = set()  # (sizes, counts) of the labelings re-scored so far
     for z, sizes in _enumeration(n, k, min_size, rows):
         if not len(z):
             continue
-        potentials = _potentials(z, sizes, src, dst, tables)
+        potentials, counts = _potentials(z, sizes, src, dst, tables)
         top = float(potentials.max())
         floor = max(floor, top - _RESCORE_TOL * abs(top))
         for r in np.flatnonzero(potentials >= floor):
+            key = sizes[r].tobytes() + counts[r].tobytes()
+            if key in rescored:
+                continue
+            rescored.add(key)
             lab = Labeling(z[r], k)
             value = score(block_counters(g, lab))
             if best is None or value > best_value:

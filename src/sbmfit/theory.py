@@ -12,9 +12,9 @@ import numpy as np
 from ._cephes import xlogy
 from .divergences import neg_bernoulli_entropy
 from .errors import DegenerateBlockError, ParameterError
-from .graphs import block_counters, confusion
+from .graphs import block_counters, confusion, confusion_counts
 from .modularity import ml_from_counters
-from .sampling import expected_block_density, expected_edge_counts
+from .sampling import expected_block_density
 
 _TERNARY_ITERATIONS = 200
 
@@ -149,19 +149,32 @@ def modularity_excess(g, e, z, params):
     return total / (2.0 * g.n * g.n)
 
 
+def _conditional_edge_counts(e, z, p):
+    """E[o_ab(e) | z] for edge probabilities p, in O(n + k^2) memory.
+
+    C P C^T - diag(C diag P), where C[a, c] counts the nodes i with e_i = a
+    and z_i = c: the sum of P[z_i, z_j] over all ordered pairs of the block
+    minus the pairs i = j. sampling.expected_edge_counts sums the n x n
+    pair matrix instead, as an independent check of this route.
+    """
+    c = confusion_counts(e, z).astype(float)
+    return c @ p @ c.T - np.diag(c @ np.diagonal(p))
+
+
 def edge_count_deviation(g, e, z, params):
     """Centered difference of block edge counts between two labelings.
 
     W_ab = [o_ab(e) - E o_ab(e) - o_ab(z) + E o_ab(z)] / n^2, expectations
-    conditional on z. Identically zero when e equals z.
+    conditional on z. Identically zero when e equals z. Memory is
+    O(n + m + k^2): nothing is n x n.
     """
     if e.n != g.n or z.n != g.n:
         raise ValueError("labeling lengths must match the graph")
     n2 = float(g.n) ** 2
     o_e = block_counters(g, e).edge_counts.astype(float)
     o_z = block_counters(g, z).edge_counts.astype(float)
-    exp_e = expected_edge_counts(e, z, params)
-    exp_z = expected_edge_counts(z, z, params)
+    exp_e = _conditional_edge_counts(e, z, params.p)
+    exp_z = _conditional_edge_counts(z, z, params.p)
     # Grouped so that e == z cancels termwise and yields exact zeros.
     return ((o_e - o_z) - (exp_e - exp_z)) / n2
 

@@ -1,23 +1,19 @@
 """Reference greedy search: the loop before the maintained neighbour table.
 
 Each visit slices the node's CSR neighbours and counts their labels with
-np.bincount over a numpy label vector. The block terms, memos, move
-deltas and summation order are those of sbmfit.search, so a correct
-kernel returns exactly the same FitResult as this loop.
+np.bincount over a numpy label vector. The block terms and memos are
+those of sbmfit.modularity, and the move deltas and summation order
+those of sbmfit.search, so a correct kernel returns exactly the same
+FitResult as this loop.
 """
 
 import numpy as np
 
 from sbmfit.errors import InfeasibleError
 from sbmfit.graphs import Labeling, block_counters, min_feasible_size
+from sbmfit.modularity import _BLOCK_TERMS, _f
 from sbmfit.sampling import derive_seed
-from sbmfit.search import (
-    _BLOCK_TERMS,
-    _MOVE_EPS,
-    _f,
-    _finalize,
-    _random_feasible_labels,
-)
+from sbmfit.search import _MOVE_EPS, _finalize, _random_feasible_labels
 
 
 class ReferenceGreedyState:

@@ -1,16 +1,12 @@
 """The scalar Cephes ports against the scipy.special ufuncs, bit for bit.
 
 Each comparison is == on Python floats (NaN where both are NaN), over the
-arguments the objectives pass and seeded samples beyond them. lbeta's
-table of small blocks is checked against betaln over its whole domain.
+arguments the objectives pass and seeded samples beyond them.
 """
 
 import math
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from sbmfit import _cephes
@@ -77,66 +73,6 @@ class TestLogs:
         y = [0.0, -1.0, math.inf, math.nan, 0.0, -1.0, -2.0, math.nan]
         assert_same_floats([_cephes.xlogy(a, b) for a, b in zip(x, y)], xlogy(x, y))
         assert_same_floats([_cephes.xlog1py(a, b) for a, b in zip(x, y)], xlog1py(x, y))
-
-
-class TestLbeta:
-    @staticmethod
-    def check(o, n):
-        """lbeta(o + 1/2, n - o + 1/2) against betaln, as the ICL blocks call it."""
-        a, b = o + 0.5, n - o + 0.5
-        got = [_cephes.lbeta(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert_same_floats(got, betaln(a, b))
-
-    def test_every_block_of_171_to_699_pairs(self):
-        n = np.concatenate([np.full(m + 1, m) for m in range(171, 700)]).astype(float)
-        o = np.concatenate([np.arange(m + 1) for m in range(171, 700)]).astype(float)
-        self.check(o, n)
-
-    def test_seeded_large_blocks(self):
-        # Up to 10^10 pairs; a third of the blocks hold fewer than 5
-        # endpoints, which takes the asymptotic branch once n > 10^6.
-        rng = np.random.default_rng(20)
-        n = np.floor(np.exp(rng.uniform(math.log(171), math.log(1e10), size=100_000)))
-        o = np.where(rng.random(n.size) < 1 / 3, rng.integers(0, 5, size=n.size),
-                     np.floor(rng.random(n.size) * (n + 1)))
-        self.check(np.minimum(o, n), n)
-        self.check(n - np.minimum(o, n), n)
-
-    @staticmethod
-    def small_blocks():
-        """(o, m) for 0 <= o <= m <= 170, in the order of the table file."""
-        m = np.concatenate([np.full(m + 1, m) for m in range(0, 171)]).astype(float)
-        o = np.concatenate([np.arange(m + 1) for m in range(0, 171)]).astype(float)
-        return o, m
-
-    def test_every_block_of_0_to_170_pairs(self):
-        # The table's whole domain, in both argument orders.
-        o, n = self.small_blocks()
-        self.check(o, n)
-        self.check(n - o, n)
-
-    def test_small_block_table_is_betaln(self):
-        o, m = self.small_blocks()
-        want = betaln(o + 0.5, m - o + 0.5).astype("<f8").tobytes()
-        assert Path(_cephes._SMALL_TABLE).read_bytes() == want
-
-    @pytest.mark.parametrize("a, b", [
-        (1.0, 2.0), (0.5, 1.0), (2.25, 0.5), (85.5, 85.25), (0.0, 0.5), (0.5, -0.5),
-        (-0.5, 1.5), (-1.0, -2.0), (math.nan, 0.5), (0.5, math.nan),
-    ])
-    def test_small_branch_rejects_other_arguments(self, a, b):
-        # Below MAXGAM only half-integer pairs are served; scipy is not called.
-        with pytest.raises(ValueError, match="outside the ported branches"):
-            _cephes.lbeta(a, b)
-
-
-def test_table_ships_as_package_data():
-    table = resources.files("sbmfit").joinpath("lbeta_small.f64")
-    assert len(table.read_bytes()) == 8 * (171 * 172 // 2) == 117_648
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    config = tomllib.loads(pyproject.read_text())
-    assert "lbeta_small.f64" in config["tool"]["setuptools"]["package-data"]["sbmfit"]
 
 
 def test_log_beta_half_literal():

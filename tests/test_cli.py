@@ -254,8 +254,7 @@ def test_sample_command_leaves_out_scipy_special(tmp_path, params_file):
 
 @pytest.mark.parametrize("objective", ["ml", "icl"])
 def test_fit_command_leaves_out_scipy_special(tmp_path, params_file, objective):
-    # The block terms come from the Cephes ports of sbmfit._cephes. Only an
-    # ICL block of at most 170 pairs calls scipy.special.betaln, so each
+    # The block terms come from the Cephes ports of sbmfit._cephes. Each
     # fitted community here holds at least 20 nodes: 190 pairs or more.
     g_path, e_path = str(tmp_path / "g.txt"), tmp_path / "e.txt"
     assert main(["sample", "--params", params_file, "--n", "200", "--seed", "5",
@@ -275,7 +274,7 @@ def test_constant_command_leaves_out_scipy_special(params_file):
 
 def test_exact_fit_leaves_out_scipy_special(tmp_path):
     # Exact search looks its terms up in arrays filled from the memos, and
-    # the ICL value of blocks of at most 170 pairs comes from lbeta's table.
+    # the ICL value of its winner sums memoized log-gamma terms.
     g_path, e_path = tmp_path / "g.txt", tmp_path / "e.txt"
     g_path.write_text("8 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n")
     for objective in ("ml", "icl"):
@@ -287,8 +286,9 @@ def test_exact_fit_leaves_out_scipy_special(tmp_path):
 
 def test_small_icl_fit_leaves_out_scipy_special(tmp_path):
     # At n = 26 every block of two communities holds at most 13 * 13 = 169
-    # node pairs, so each ICL block term of the fit comes from lbeta's table.
-    # S is scaled down from PARAMS_TEXT so that rho * S stays below 1.
+    # node pairs, the small blocks whose log-beta scipy.special.betaln
+    # takes from Gamma ratios; the fit's terms are log-gamma sums. S is
+    # scaled down from PARAMS_TEXT so that rho * S stays below 1.
     params, g_path, e_path = tmp_path / "p.txt", str(tmp_path / "g.txt"), tmp_path / "e.txt"
     params.write_text(PARAMS_TEXT.replace("9.0", "4.0"))
     assert main(["sample", "--params", str(params), "--n", "26", "--seed", "5",

@@ -95,7 +95,7 @@ def test_objective_floats():
     values += [report.rho, report.delta, report.empirical_sup_deviation,
                report.theoretical_bound, report.violation_fraction, report.w_self_max]
     assert sha256(_float_stream(values)) == (
-        "eb754a8af7f635cac164c4ca013ae95fdc9c277bc623a8fab2b810df90513bc2")
+        "3c8e8e6afcf2e1cbb0bbd8bf9de978d24f74e379be4ad98fd25758700ab7c283")
 
 
 def test_greedy_restart_tuples():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 from sbmfit import (
     Graph,
@@ -15,7 +15,7 @@ from sbmfit import (
     likelihood_modularity,
     modularity_gap,
 )
-from sbmfit.modularity import LOG_BETA_HALF, icl_from_counters
+from sbmfit.modularity import _BLOCK_TERMS, LOG_BETA_HALF, _f, icl_from_counters
 
 from conftest import permuted, random_graph, random_labeling
 
@@ -143,15 +143,18 @@ class TestModularityGap:
 
 
 def icl_scalar_reference(counters):
-    """icl_from_counters as a scalar double loop over the upper-triangle blocks."""
+    """icl_from_counters as a scalar double loop over the upper-triangle
+    blocks, each term gammaln(o~ + 1/2) + gammaln(n~ - o~ + 1/2)
+    - gammaln(n~ + 1) - log B(1/2, 1/2) from scipy.special."""
     ntil = counters.tilde_pair_counts()
     otil = counters.tilde_edge_counts()
     terms = []
     for a in range(counters.k):
         for b in range(a, counters.k):
-            nt, ot = int(ntil[a, b]), int(otil[a, b])
+            nt, ot = float(ntil[a, b]), float(otil[a, b])
             if nt:
-                terms.append(float(betaln(ot + 0.5, nt - ot + 0.5)) - LOG_BETA_HALF)
+                terms.append(float(gammaln(ot + 0.5)) + float(gammaln(nt - ot + 0.5))
+                             - float(gammaln(nt + 1.0)) - LOG_BETA_HALF)
     total = float(np.sort(np.asarray(terms)).sum()) if terms else 0.0
     n = int(counters.sizes.sum())
     return total / (n * n)
@@ -166,3 +169,22 @@ def test_icl_matches_scalar_reference_bitwise(seed, n, k, p):
     rng = np.random.default_rng(seed)
     c = block_counters(random_graph(rng, n, p=p), random_labeling(rng, n, k))
     assert icl_from_counters(c).hex() == icl_scalar_reference(c).hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(m=st.integers(0, 10**8), data=st.data())
+def test_icl_block_term_near_betaln(m, data):
+    # The block term against log B(o + 1/2, m - o + 1/2) / B(1/2, 1/2) by
+    # betaln, for blocks of up to 10^8 pairs. A relative bound alone does
+    # not hold: a near-empty or near-full block cancels log-gamma values of
+    # about m log m down to a term of about log m, so the last bits of
+    # lgam(m + 1) show. betaln rounds them differently, and above 10^6
+    # pairs it takes an asymptotic series instead: at o = 0 the relative
+    # gap is 1.8e-10 at 10^6 pairs and 6.4e-8 at 9.2 * 10^7 pairs, while
+    # the absolute gap stays below 5e-16 * gammaln(m + 1) on every block
+    # scanned (o <= 50, m <= 10^8).
+    o = data.draw(st.one_of(st.integers(0, min(m, 5)), st.integers(max(m - 5, 0), m),
+                            st.integers(0, m)))
+    got = _f(_BLOCK_TERMS["icl"], o, m)
+    want = float(betaln(o + 0.5, m - o + 0.5)) - LOG_BETA_HALF
+    assert abs(got - want) <= 1e-12 * abs(want) + 1e-15 * float(gammaln(m + 1.0))

@@ -34,7 +34,7 @@ import reference_exact
 from reference_exact import reference_exact_argmax
 from reference_greedy import ReferenceGreedyState, reference_greedy_argmax
 
-ML, ICL = search._BLOCK_TERMS["ml"], search._BLOCK_TERMS["icl"]
+ML, ICL = modularity._BLOCK_TERMS["ml"], modularity._BLOCK_TERMS["icl"]
 
 
 def two_cliques(size=4):
@@ -214,7 +214,7 @@ class TestGreedy:
             objective = "ml" if case % 2 == 0 else "icl"
             state = _GreedyState(g, k, z.labels, objective)
             potential = state.full_potential()
-            scale = search._BLOCK_TERMS[objective].w * n * n
+            scale = modularity._BLOCK_TERMS[objective].w * n * n
             for i in rng.permutation(n):
                 a = int(state.z[i])
                 d = state.table[i]
@@ -249,7 +249,7 @@ class TestTermMemos:
             rng.integers(0, 10**8, size=3000),
         ]))
         x = args.astype(float)
-        tables = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
+        tables = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
         saved = [dict(t) for t in tables]
         try:
             for t in tables:
@@ -257,8 +257,8 @@ class TestTermMemos:
             # _f(t, 0, a) fills the entries 0 and a of x*log(x) and
             # gammaln(x + 1/2) and the entry a of gammaln(x + 1). args[0] is 0.
             for a in args.tolist():
-                search._f(ML, 0, a)
-                search._f(ICL, 0, a)
+                modularity._f(ML, 0, a)
+                modularity._f(ICL, 0, a)
             wants = (xlogy(x, x), gammaln(x + 0.5), gammaln(x + 1.0))
             for table, want in zip(tables, wants):
                 got = np.array([table[a] for a in args.tolist()])
@@ -274,16 +274,16 @@ class TestTermMemos:
         x = np.concatenate([
             np.arange(2**21 + 1), np.random.default_rng(21).integers(2**21, 10**8, size=10**5),
         ]).astype(float)
-        got = np.array([search._xlogx(v) for v in x.tolist()])
+        got = np.array([modularity._xlogx(v) for v in x.tolist()])
         assert np.array_equal(got.view(np.int64), xlogy(x, x).view(np.int64))
 
     def test_block_terms_fill_on_first_visit(self):
         # Arguments no other test reaches: the KeyError path must give the
         # value the filled memo gives on the next call.
         o, m = 7 * 10**9 + 3, 9 * 10**9 + 11
-        first_ml, first_icl = search._f(ML, o, m), search._f(ICL, o, m)
-        assert search._f(ML, o, m) == first_ml
-        assert search._f(ICL, o, m) == first_icl
+        first_ml, first_icl = modularity._f(ML, o, m), modularity._f(ICL, o, m)
+        assert modularity._f(ML, o, m) == first_ml
+        assert modularity._f(ICL, o, m) == first_icl
         assert first_ml == xlogy(o, o) + xlogy(m - o, m - o) - xlogy(m, m)
 
 
@@ -309,7 +309,7 @@ class TestBestMove:
         g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
         state = _GreedyState(g, k, labels, objective)
         ref = ReferenceGreedyState(g, k, labels, objective)
-        tables = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
+        tables = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
         saved = [dict(t) for t in tables]
         try:
             for i in range(n):
@@ -351,7 +351,7 @@ class TestCachedBlockTerms:
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.9)))
         state = _GreedyState(g, k, rng.integers(0, k, size=n), objective)
         potential = state.full_potential()
-        scale = search._BLOCK_TERMS[objective].w * n * n
+        scale = modularity._BLOCK_TERMS[objective].w * n * n
         for _ in range(3 * n):
             i, b = int(rng.integers(n)), int(rng.integers(k))
             a = int(state.z[i])
@@ -416,8 +416,8 @@ class TestBatchPotentials:
         z = np.array(rows, dtype=np.int8)
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
-        got = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
-                                 search._term_tables(objective, n))
+        got, _ = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
+                                    search._term_tables(objective, n))
         for row, value in zip(rows, got.tolist()):
             want = _GreedyState(g, k, row, objective).full_potential()
             assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
@@ -435,9 +435,14 @@ class TestBatchPotentials:
         src = np.repeat(np.arange(n), g.degrees())
         once = src < g.indices
         src, dst = src[once], g.indices[once]
-        got = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
+        got, counts = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
         want = ufunc_potentials(z, sizes, src, dst, objective)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
+        # The counts are the upper triangle of block_counters' endpoint counts.
+        upper = np.triu_indices(k)
+        for row, row_counts in zip(z, counts):
+            edge_counts = block_counters(g, Labeling(row, k)).edge_counts
+            assert row_counts.tolist() == edge_counts[upper].tolist()
 
 
     @pytest.mark.parametrize("objective", ["ml", "icl"])
@@ -455,9 +460,9 @@ class TestBatchPotentials:
             src, dst = src[once], g.indices[once]
             z = rng.integers(0, k, size=(7, n)).astype(np.int8)
             sizes = search._value_counts(z, k)
-            chunk = search._potentials(z, sizes, src, dst, tables)
+            chunk = search._potentials(z, sizes, src, dst, tables)[0]
             alone = np.concatenate([search._potentials(z[r:r + 1], sizes[r:r + 1], src, dst,
-                                                       tables) for r in range(len(z))])
+                                                       tables)[0] for r in range(len(z))])
             assert np.array_equal(chunk.view(np.int64), alone.view(np.int64)), (z, chunk, alone)
 
 
@@ -623,12 +628,10 @@ class TestExactReferenceOracle:
             with pytest.raises(error):
                 search_fn(g, k, cfg)
 
-    @pytest.mark.parametrize("objective", ["ml", "icl"])
-    def test_nudged_scorer_near_ties(self, monkeypatch, objective):
-        # Nudging each labeling's value by up to 1e-12, fixed by its
-        # counters, reorders exact and near ties the way rounding in the
-        # vectorized sums can. Every leaf that could then win lies within
-        # the re-scoring window, so the result must still be the reference's.
+    @staticmethod
+    def nudge_scorers(monkeypatch, objective):
+        """Nudge each labeling's value by up to 1e-12, fixed by its counters,
+        in both exact_argmax and the reference."""
         name = f"{objective}_from_counters"
         true_score = getattr(modularity, name)
 
@@ -638,9 +641,37 @@ class TestExactReferenceOracle:
 
         monkeypatch.setattr(search, name, nudged)
         monkeypatch.setattr(reference_exact, name, nudged)
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_nudged_scorer_near_ties(self, monkeypatch, objective):
+        # The nudges reorder exact and near ties the way rounding in the
+        # vectorized sums can. Every leaf that could then win lies within
+        # the re-scoring window, so the result must still be the reference's.
+        self.nudge_scorers(monkeypatch, objective)
         rng = np.random.default_rng(11)
         for kind, n, k in itertools.product(["star", "two_cliques", "complete", "empty",
                                              "random"], range(4, 10), [2, 3]):
+            g = tie_heavy_graph(kind, n, rng)
+            cfg = SearchConfig(objective=objective, alpha=0.1, restarts=1)
+            assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
+
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_every_labeling_near_the_top(self, monkeypatch, objective):
+        # Flat potentials put every labeling above the re-scoring floor, so
+        # exact search re-scores each distinct counter matrix once. The
+        # nudges rank the labelings of equal sizes but different counters
+        # apart, so a key that merged them would skip a winner.
+        self.nudge_scorers(monkeypatch, objective)
+        potentials = search._potentials
+
+        def flat(*args):
+            total, counts = potentials(*args)
+            return np.zeros_like(total), counts
+
+        monkeypatch.setattr(search, "_potentials", flat)
+        rng = np.random.default_rng(12)
+        for kind, n, k in itertools.product(["star", "two_cliques", "random", "random"],
+                                            range(4, 9), [2, 3]):
             g = tie_heavy_graph(kind, n, rng)
             cfg = SearchConfig(objective=objective, alpha=0.1, restarts=1)
             assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
@@ -664,6 +695,27 @@ class TestExactReferenceOracle:
         assert len(calls) == 1
         monkeypatch.undo()
         assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
+
+    @pytest.mark.parametrize("kind", ["empty", "complete"])
+    @pytest.mark.parametrize("k, distinct", [(3, 45), (4, 120)])
+    def test_one_recount_per_distinct_counters(self, monkeypatch, kind, k, distinct):
+        # Every ML labeling of the empty or the complete 11-node graph scores
+        # 0: all 28,501 canonical labelings at k = 3 and all 145,750 at
+        # k = 4 lie at the top potential. Their counters depend on the sizes
+        # alone, which take 45 and 120 values, so one recount each suffices.
+        g = tie_heavy_graph(kind, 11, None)
+        cfg = SearchConfig(objective="ml", restarts=1)
+        calls = []
+
+        def counting_block_counters(*args):
+            calls.append(args)
+            return block_counters(*args)
+
+        monkeypatch.setattr(search, "block_counters", counting_block_counters)
+        fit = exact_argmax(g, k, cfg)
+        assert len(calls) <= distinct
+        monkeypatch.undo()
+        assert_same_fit(fit, reference_exact_argmax(g, k, cfg))
 
 
 class TestSharedContext:
@@ -718,12 +770,15 @@ class TestExactCaches:
     def test_one_community_fills_no_memo(self, monkeypatch, objective):
         # The guard does not bound n at k = 1: tables over every pair count
         # of a 600-node path would add 359,401 memo entries for one labeling.
+        # Scoring that labeling with the public objective comes first, since
+        # the ICL objective sums memoized terms; the search adds nothing more.
         monkeypatch.setattr(search, "_ENUMERATIONS", {})
         monkeypatch.setattr(search, "_TERM_TABLES", {})
-        memos = (search._XLOGX, search._LGAMMA_HALF, search._LGAMMA_INT)
-        before = [len(memo) for memo in memos]
+        memos = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
         g = Graph.from_edges(600, [(i, i + 1) for i in range(599)])
         cfg = SearchConfig(objective=objective, restarts=1)
+        search._scorer(objective)(block_counters(g, Labeling(np.zeros(600, dtype=int), 1)))
+        before = [len(memo) for memo in memos]
         fit = exact_argmax(g, 1, cfg)
         assert [len(memo) for memo in memos] == before
         assert search._ENUMERATIONS == {} and search._TERM_TABLES == {}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from sbmfit import (
 )
 from sbmfit.divergences import chernoff_hellinger, neg_bernoulli_entropy
 from sbmfit.experiments import balanced_params
-from sbmfit.graphs import ConfusionMatrix
-from sbmfit.theory import ml_identity_residual, phase_constant_from_rates
+from sbmfit.graphs import ConfusionMatrix, block_counters
+from sbmfit.theory import (
+    _conditional_edge_counts,
+    ml_identity_residual,
+    phase_constant_from_rates,
+)
 
 from conftest import diagonal_confusion, random_graph, random_labeling, random_params
 
@@ -240,3 +245,42 @@ class TestEdgeCountDeviation:
         e = Labeling(e_labels, 2)
         want = -(expected_edge_counts(e, z, params) - expected_edge_counts(z, z, params)) / n**2
         assert np.allclose(edge_count_deviation(g, e, z, params), want, atol=1e-15)
+
+    def test_equals_the_direct_route(self, rng):
+        # The label-count route against the sum over the n x n pair matrix.
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(1, 5))
+            params = random_params(rng, k, rho=float(rng.uniform(0.05, 0.5)))
+            g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+            e, z = random_labeling(rng, n, k), random_labeling(rng, n, k)
+            for a, b in ((e, z), (z, z), (e, e)):
+                got = _conditional_edge_counts(a, b, params.p)
+                want = expected_edge_counts(a, b, params)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            o_e = block_counters(g, e).edge_counts
+            o_z = block_counters(g, z).edge_counts
+            want = ((o_e - o_z) - (expected_edge_counts(e, z, params)
+                                   - expected_edge_counts(z, z, params))) / n**2
+            scale = np.abs(o_e).max() + np.abs(o_z).max() + 1.0
+            assert np.allclose(edge_count_deviation(g, e, z, params), want,
+                               rtol=0.0, atol=1e-12 * scale / n**2)
+
+    def test_memory_is_linear_in_n(self):
+        # An n x n float matrix at n = 20,000 would take 3.2 GB.
+        n, k = 20_000, 3
+        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        z = Labeling(np.arange(n) % k, k)
+        e_labels = z.labels.copy()
+        e_labels[:50] = (e_labels[:50] + 1) % k
+        e = Labeling(e_labels, k)
+        params = balanced_params(k, 3.0, 1.0, 0.01)
+        tracemalloc.start()
+        try:
+            w = edge_count_deviation(g, e, z, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert w.shape == (k, k) and np.isfinite(w).all()
+        assert np.all(edge_count_deviation(g, z, z, params) == 0.0)
