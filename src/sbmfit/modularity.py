@@ -1,19 +1,25 @@
 """The two objective functions over labelings: plug-in and integrated likelihood.
 
 The objectives differ only in the term each block pair adds, and each is
-one _BlockTerm record of that term. Both searches of sbmfit.search read
-the records, and the integrated likelihood of a labeling is the sum of its
-record's terms; the plug-in likelihood is evaluated over numpy arrays of
-densities instead. The x*log(x) and log-gamma values behind the terms are
-memoized per integer argument for the life of the process, so memory
-grows with the distinct counts a process visits, not with n^2. One fill
-function, _fill, alone fills the memos; the block term _f and the greedy
-move kernel read the memos inline and call it on a miss. The memos are
-filled by scalar functions, math.log and the Cephes log-gamma port of
+one _BlockTerm record of that term. The record holds two forms of it: the
+kernel term A[o] + A[m - o] - B[m] - beta that greedy search adds up move
+by move, and the public term that the objective's value sums, which exact
+search reads from one table (see search._term_table). For the integrated
+likelihood the two are one float; for the plug-in likelihood the public
+term is m * tau(o / m), the kernel term its cancelling x*log(x) form.
+_public_value alone turns counters into an objective value, so the
+public terms, the blocks they cover and the normalizer are written once.
+The x*log(x) and log-gamma values behind the kernel terms are memoized
+per integer argument for the life of the process, so memory grows with
+the distinct counts a process visits, not with n^2. One fill function,
+_fill, alone fills the memos; the block term _f and the greedy move
+kernel read the memos inline and call it on a miss. The memos are filled
+by scalar functions, math.log and the Cephes log-gamma port of
 sbmfit._cephes, which equal scipy.special's ufuncs bit for bit, so no
 objective imports scipy.special.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +55,15 @@ def _xlogx(x):
 @dataclass(frozen=True)
 class _BlockTerm:
     """The term that a block of m node pairs holding o edge endpoints adds
-    to an objective's potential: A[o] + A[m - o] - B[m] - beta.
+    to an objective: A[o] + A[m - o] - B[m] - beta in the kernel, and
+    terms(o, m) over integer arrays of blocks with m >= 1 in the public
+    value.
 
-    A and B are memos that fill_a and fill_b fill at float(x); exact search
-    reads them through arrays (see search._term_tables). A diagonal block
-    divides o and m by h first, and the potential weights a block a < b by
-    w, for the ordered pairs it stands for.
+    A and B are memos that fill_a and fill_b fill at float(x). A diagonal
+    block divides o and m by h first. A block a < b stands for w ordered
+    blocks: the kernel's potential weights its term by w, and the public
+    value (see _public_value) enters its term w times and divides the sum
+    by w n^2.
     """
 
     A: dict
@@ -64,15 +73,28 @@ class _BlockTerm:
     beta: float
     h: int
     w: float
+    terms: object
+
+
+def _ml_terms(o, m):
+    # m * tau(o / m) through the scalar xlogy and xlog1py, free of the
+    # cancellation of the kernel's x*log(x) form.
+    return m * neg_bernoulli_entropy(o / m)
+
+
+def _icl_terms(o, m):
+    # The record's own term, so the public value sums what greedy search adds.
+    t = _BLOCK_TERMS["icl"]
+    return np.array([_f(t, x, y) for x, y in zip(o.tolist(), m.tolist())], dtype=float)
 
 
 _BLOCK_TERMS = {
     # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
-    "ml": _BlockTerm(_XLOGX, _xlogx, _XLOGX, _xlogx, 0.0, 1, 2.0),
+    "ml": _BlockTerm(_XLOGX, _xlogx, _XLOGX, _xlogx, 0.0, 1, 2.0, _ml_terms),
     # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
     # the unordered blocks, whose diagonal counts every pair twice.
     "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5),
-                      _LGAMMA_INT, lambda x: lgam(x + 1.0), LOG_BETA_HALF, 2, 1.0),
+                      _LGAMMA_INT, lambda x: lgam(x + 1.0), LOG_BETA_HALF, 2, 1.0, _icl_terms),
 }
 
 
@@ -105,15 +127,40 @@ def _f(t, o, m):
         return _fill(t, o, m)
 
 
+@functools.lru_cache(maxsize=64)
+def _public_blocks(w, h, k):
+    """The blocks (a, b) whose terms a public value sums, and the divisor of
+    each block's counters, as read-only index arrays kept per (w, h, k):
+    the blocks a <= b, each a < b entered w times, so the plug-in
+    likelihood (w = 2) covers every ordered block, and h on the diagonal."""
+    a, b = np.triu_indices(k)
+    times = np.where(a == b, 1, w)
+    a, b = np.repeat(a, times), np.repeat(b, times)
+    blocks = a, b, np.where(a == b, h, 1)
+    for x in blocks:
+        x.setflags(write=False)
+    return blocks
+
+
+def _public_value(t, counters):
+    """Objective value of record t over block counters: the sorted sum of its
+    public terms over the public blocks that hold pairs, divided by w n^2.
+
+    Sorted accumulation makes the value bitwise invariant under label
+    permutations, which reorder the terms.
+    """
+    a, b, h = _public_blocks(int(t.w), t.h, counters.k)
+    m = counters.pair_counts[a, b] // h
+    held = m > 0
+    o = counters.edge_counts[a, b][held] // h[held]
+    total = float(np.sort(t.terms(o, m[held])).sum())
+    n = int(counters.sizes.sum())
+    return total / (t.w * n * n)
+
+
 def ml_from_counters(counters):
     """Plug-in likelihood objective from precomputed block counters."""
-    nab = counters.pair_counts
-    mask = nab > 0
-    # Sorted accumulation makes the value bitwise invariant under label
-    # permutations, which reorder the block terms.
-    total = float(np.sort(nab[mask] * neg_bernoulli_entropy(counters.densities()[mask])).sum())
-    n = int(counters.sizes.sum())
-    return total / (2.0 * n * n)
+    return _public_value(_BLOCK_TERMS["ml"], counters)
 
 
 def likelihood_modularity(g, z):
@@ -126,17 +173,8 @@ def likelihood_modularity(g, z):
 
 
 def icl_from_counters(counters):
-    """Integrated likelihood objective from precomputed block counters: the
-    sorted sum of the "icl" record's terms over the upper-triangle blocks
-    that hold pairs, divided by n^2."""
-    ntil = counters.tilde_pair_counts()
-    otil = counters.tilde_edge_counts()
-    upper = np.triu(ntil > 0)
-    t = _BLOCK_TERMS["icl"]
-    terms = [_f(t, o, m) for o, m in zip(otil[upper].tolist(), ntil[upper].tolist())]
-    total = float(np.sort(terms).sum())
-    n = int(counters.sizes.sum())
-    return total / (n * n)
+    """Integrated likelihood objective from precomputed block counters."""
+    return _public_value(_BLOCK_TERMS["icl"], counters)
 
 
 def integrated_likelihood_modularity(g, z):

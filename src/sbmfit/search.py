@@ -26,15 +26,15 @@ either (see _run_restart).
 
 Exact search, for toy scale, needs no move kernel: it scores the
 canonical labelings in lexicographic order, a bounded chunk of them per
-numpy pass, with the same records' terms, looked up in arrays of the memo
-values (see _term_tables). Both the arrays and an enumeration that fits
-one chunk depend only on the shape of the search, and are kept read-only
-per shape for the life of the process (see _enumeration). It re-scores
-only the labelings that come near the largest potential seen so far, one
-per distinct matrix of block counters, with the public objective of
-sbmfit.modularity, whose values alone decide the winner; the winner's
-recount is its result. At k = 1 the one labeling is scored alone, with
-no arrays.
+numpy pass, with the public objective itself. Each row gathers the
+public block terms of sbmfit.modularity from one table of them per
+objective and n (see _term_table), and sorts and sums them as the public
+scorers do, so its value is the scorer's bit for bit (see
+_objective_values); np.argmax picks a chunk's winner, and a later chunk
+wins only with a larger value. Both the table and an enumeration that
+fits one chunk depend only on the shape of the search, and are kept
+read-only per shape for the life of the process (see _enumeration). At
+k = 1 the one labeling is scored alone, with no table.
 """
 
 import fcntl
@@ -51,12 +51,17 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
-from .modularity import _BLOCK_TERMS, OBJECTIVES, _f, _fill, icl_from_counters, ml_from_counters
+from .modularity import (_BLOCK_TERMS, OBJECTIVES, _f, _fill, _public_blocks, icl_from_counters,
+                         ml_from_counters)
 from .sampling import derive_seed
 
 _EXACT_GUARD = 2 * 10**7
-# Moves must beat this unnormalized improvement; filters float noise while
-# staying far below any real single-node objective change.
+# Moves must beat this unnormalized improvement. It is a fixed threshold,
+# not a bound on the kernel's rounding, which grows with n: against a
+# cancellation-free recomputation, deltas were off by up to 3.1e-8 at
+# n = 3000 and 7.9e-5 at n = 10^5, and a real gain was as small as 7.9e-6.
+# So at large n it neither filters all float noise nor stays below every
+# real single-node change.
 _MOVE_EPS = 1e-10
 _INIT_ATTEMPTS = 1000
 # Greedy fits with n * restarts above this share their restarts with forked
@@ -67,17 +72,9 @@ _INIT_ATTEMPTS = 1000
 # from 3.5-3.7 to 1.6-2.6 ms; at n * restarts = 1000 the forked and serial
 # fits still differ by less than the run-to-run noise.
 _FORK_MIN_WORK = 1000
-# Exact search re-scores a labeling whose potential, the sum of its block
-# terms, is within this relative distance of the largest one seen so far,
-# or above it. A labeling with the best vectorized value has at least every
-# other potential in exact arithmetic; the two sums round differently by
-# about 1e-16 of the largest block term. A nonzero potential is at least
-# log(2) in size, so the window is far wider than the rounding; no
-# potential exceeds zero, since every block term is <= 0.
-_RESCORE_TOL = 1e-9
 # Exact search scores the labelings in chunks of at most this many elements,
-# counting n labels, m edge pair codes and k^2 block counts per labeling, so
-# no chunk array exceeds 256 KB unless a single labeling does.
+# counting n labels, m edge pair codes and k^2 block counts or terms per
+# labeling, so no chunk array exceeds 256 KB unless a single labeling does.
 _EXACT_CHUNK = 1 << 15
 
 
@@ -595,7 +592,7 @@ def _canonical_labelings(n, k, min_size, rows):
 
 # Exact search's arrays that depend on the shape of a search alone, kept
 # read-only for the life of the process: the canonical enumeration per
-# (n, k, min_size) when all of it fits one chunk, and the term tables per
+# (n, k, min_size) when all of it fits one chunk, and the term table per
 # (objective, n). Exact search builds them only for k >= 2, where the
 # enumeration guard bounds n by 24 (see exact_argmax).
 _ENUMERATIONS = {}
@@ -619,66 +616,62 @@ def _enumeration(n, k, min_size, rows):
     return _ENUMERATIONS[key]
 
 
-def _term_tables(objective, n):
-    """The record of the objective and its memos A and B as float arrays over
-    every pair count a block of n nodes can hold, 0 .. n(n - 1) / h,
+def _term_table(objective, n):
+    """The objective's public block term at every o <= m <= n(n - 1) / h,
+    the pair counts a block of n nodes can hold, at index m(m + 1) / 2 + o,
+    and +inf at m = 0, so a block with no pairs sorts after every term;
     read-only and kept per (objective, n)."""
     key = objective, n
-    if key in _TERM_TABLES:
-        return _TERM_TABLES[key]
-    t = _BLOCK_TERMS[objective]
-    size = n * (n - 1) // t.h + 1
-    for x in range(size):
-        _f(t, 0, x)  # stores A[x] and B[x]
-    A, B = np.array([t.A[x] for x in range(size)]), np.array([t.B[x] for x in range(size)])
-    _TERM_TABLES[key] = tables = (t, *_frozen(A, B))
-    return tables
+    if key not in _TERM_TABLES:
+        t = _BLOCK_TERMS[objective]
+        size = n * (n - 1) // t.h + 1
+        table = np.full(size * (size + 1) // 2, math.inf)
+        # One m at a time: no temporary grows with the table.
+        for m in range(1, size):
+            o = np.arange(m + 1)
+            table[m * (m + 1) // 2 + o] = t.terms(o, np.full(m + 1, m))
+        table.setflags(write=False)
+        _TERM_TABLES[key] = table
+    return _TERM_TABLES[key]
 
 
-def _potentials(z, sizes, src, dst, tables):
-    """Potential of each labeling row of z, given its community sizes, and
-    the endpoint counts o_ab of its blocks a <= b.
+def _objective_values(z, sizes, src, dst, objective):
+    """Public objective value of each labeling row of z, given its community
+    sizes: bit for bit what the objective's scorer gives over the row's
+    block_counters.
 
     The block counts of a row are the counts of its label pairs
-    (z[i], z[j]) over the edges i < j listed by src and dst: block a <= b
-    holds the pairs (a, b) and (b, a), so its endpoint count o_ab counts a
-    within-block edge twice, as block_counters does. The potential sums
-    the block terms of the objective's record over the blocks a <= b,
-    looked up in the arrays of _term_tables: A[o] - B[m] + A[m - o] - beta,
-    the diagonal counters divided by h first and each term off the
-    diagonal weighted by w. The arrays hold the memo values, which equal
-    scipy.special's ufuncs at float(x) bit for bit, so each term is the
-    float those ufuncs gave over the counters. The pair codes
+    (z[i], z[j]) over the edges i < j listed by src and dst: block (a, b)
+    holds the pairs (a, b) and (b, a), so its endpoint count counts a
+    within-block edge twice, as block_counters does. A row gathers the
+    terms of the public blocks (modularity._public_blocks) from the
+    _term_table, sorts them, and sums those of the blocks that hold pairs,
+    which sort first, with sum(axis=1) over a C-contiguous array. numpy
+    then sums each row as it sums the 1-D sorted array of the scorer,
+    pairwise from 8 terms up, in a chunk of any length; over a
+    column-major array it would add one column at a time instead, and a
+    gather from column-major index arrays is column-major. The sum is
+    divided by w n^2, as the scorer divides it, before any comparison:
+    two different sums can round to one value. The pair codes
     z[i] * k + z[j] fit in int8: a k >= 2 that passes the feasibility
     check and the guard has k <= n and k^n <= 2 * 10^7, so k <= 8.
-    In-place updates keep few chunk-sized arrays alive at once.
-
-    Each row is summed left to right over its blocks, one column at a
-    time, so a labeling's potential is the same float in a chunk of any
-    length. terms.sum(axis=1) would not be: numpy sums a row of a
-    row-major array pairwise once it holds 8 or more terms, and a one-row
-    chunk is row-major (tests/test_search.py pins the sums to the scipy
-    ufunc form in this order).
     """
-    t, A, B = tables
-    k = sizes.shape[1]
-    a, b = np.triu_indices(k)
-    same = a == b
+    n, k = z.shape[1], sizes.shape[1]
+    t, table = _BLOCK_TERMS[objective], _term_table(objective, n)
+    a, b, h = _public_blocks(int(t.w), t.h, k)
     pairs = _value_counts(z[:, src] * k + z[:, dst], k * k)
-    h = np.where(same, t.h, 1)
-    counts = pairs[:, a * k + b] + pairs[:, b * k + a]
-    o = counts // h
-    m = sizes[:, a] * (sizes[:, b] - same) // h
-    terms = A[o]
-    terms -= B[m]
-    np.subtract(m, o, out=o)
-    terms += A[o]
-    terms -= t.beta
-    terms *= np.where(same, 1.0, t.w)
-    total = terms[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        total += terms[:, j]
-    return total, counts
+    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) // h
+    m = sizes[:, a] * (sizes[:, b] - (a == b)) // h
+    terms = np.ascontiguousarray(table[m * (m + 1) // 2 + o])
+    terms.sort(axis=1)
+    held = np.count_nonzero(m, axis=1)
+    totals = np.empty(len(z))
+    # bincount, not np.unique, whose first call in a process adds about
+    # 1 MB of resident memory.
+    for c in np.flatnonzero(np.bincount(held)).tolist():
+        rows = held == c
+        totals[rows] = terms[rows, :c].sum(axis=1)
+    return totals / (t.w * n * n)
 
 
 def exact_argmax(g, k, cfg):
@@ -686,29 +679,22 @@ def exact_argmax(g, k, cfg):
 
     Refuses when k^n exceeds the enumeration guard. The labelings in
     first-occurrence canonical form are scored in lexicographic order, one
-    chunk at a time, by numpy (see _canonical_labelings and _potentials).
-    A chunk holds at most _EXACT_CHUNK // (n + m + k^2) labelings, so
-    memory stays bounded however large the label space. The term tables
-    are kept per (objective, n), and an enumeration that fits one chunk
-    per (n, k, min_size), read-only, so repeated searches of one shape
-    enumerate once; the guard bounds n, and so the caches, and the chunks
-    are those _canonical_labelings yields. At k = 1, which the guard does
-    not bound, the one labeling, all nodes in one community, is scored
-    alone, with no tables.
+    chunk at a time, by numpy (see _canonical_labelings and
+    _objective_values). A chunk holds at most _EXACT_CHUNK // (n + m + k^2)
+    labelings, so memory stays bounded however large the label space. The
+    term table is kept per (objective, n), and an enumeration that fits
+    one chunk per (n, k, min_size), read-only, so repeated searches of one
+    shape enumerate once; the guard bounds n, and so the caches, and the
+    chunks are those _canonical_labelings yields. At k = 1, which the
+    guard does not bound, the one labeling, all nodes in one community, is
+    scored alone, with no table.
 
-    The re-scoring floor lies a relative _RESCORE_TOL below the largest
-    potential of the chunks so far. Only labelings at or above the floor
-    are re-scored from block_counters by the public objective, and only
-    those values are compared; ties keep the lexicographically smallest
-    canonical labeling. The winner with the best value lies above every
-    floor, and at n = 10 it is usually the only labeling re-scored. A
-    labeling whose sizes and block endpoint counts equal those of one
-    re-scored before, in any chunk, is skipped: its counters, and so its
-    value, are the same, and the tie keeps the earlier one. So a graph
-    whose labelings tie by the thousand, as the empty and the complete
-    graph do, pays one recount per distinct counter matrix. Every
-    enumerated labeling is canonical and feasible, so the winner's recount
-    is the result as it stands.
+    Every value is the public objective's own float, so the values alone
+    decide: np.argmax keeps a chunk's first largest value, and a later
+    chunk wins only with a strictly larger one, so ties keep the
+    lexicographically smallest canonical labeling. No labeling is
+    recounted with block_counters. Every enumerated labeling is canonical
+    and feasible, so the winner is the result as it stands.
     """
     n = g.n
     min_size = _min_size(n, k, cfg)
@@ -717,38 +703,28 @@ def exact_argmax(g, k, cfg):
         raise SearchSpaceError(
             f"label space k^n = {space} exceeds the enumeration guard {_EXACT_GUARD}"
         )
-    score = _scorer(cfg.objective)
     if k == 1:
         best = Labeling(np.zeros(n, dtype=np.int64), 1)
-        return FitResult(labeling=best, objective_value=score(block_counters(g, best)),
+        return FitResult(labeling=best,
+                         objective_value=_scorer(cfg.objective)(block_counters(g, best)),
                          objective=cfg.objective, sweeps_used=0, restart_index=0,
                          feasible=True, converged=True)
     src = np.repeat(np.arange(n), g.degrees())
     once = src < g.indices
     src, dst = src[once], g.indices[once]
     rows = max(1, _EXACT_CHUNK // (n + src.size + k * k))
-    tables = _term_tables(cfg.objective, n)
     best_value = best = None
-    floor = -math.inf
-    rescored = set()  # (sizes, counts) of the labelings re-scored so far
     for z, sizes in _enumeration(n, k, min_size, rows):
         if not len(z):
             continue
-        potentials, counts = _potentials(z, sizes, src, dst, tables)
-        top = float(potentials.max())
-        floor = max(floor, top - _RESCORE_TOL * abs(top))
-        for r in np.flatnonzero(potentials >= floor):
-            key = sizes[r].tobytes() + counts[r].tobytes()
-            if key in rescored:
-                continue
-            rescored.add(key)
-            lab = Labeling(z[r], k)
-            value = score(block_counters(g, lab))
-            if best is None or value > best_value:
-                best_value, best = value, lab
+        values = _objective_values(z, sizes, src, dst, cfg.objective)
+        r = int(np.argmax(values))
+        if best is None or values[r] > best_value:
+            best_value, best = float(values[r]), z[r]
     if best is None:
         raise InfeasibleError(
             f"no labeling of {n} nodes into {k} communities meets alpha={cfg.alpha}"
         )
-    return FitResult(labeling=best, objective_value=best_value, objective=cfg.objective,
-                     sweeps_used=0, restart_index=0, feasible=True, converged=True)
+    return FitResult(labeling=Labeling(best, k), objective_value=best_value,
+                     objective=cfg.objective, sweeps_used=0, restart_index=0, feasible=True,
+                     converged=True)

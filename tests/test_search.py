@@ -1,13 +1,12 @@
 import copy
 import itertools
 import math
-import zlib
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betaln, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from sbmfit import (
     Graph,
@@ -30,7 +29,6 @@ from sbmfit import search
 from sbmfit.search import _GreedyState
 
 from conftest import neighbors, random_graph, random_labeling
-import reference_exact
 from reference_exact import reference_exact_argmax
 from reference_greedy import ReferenceGreedyState, reference_greedy_argmax
 
@@ -109,8 +107,8 @@ class TestExact:
            kind=st.sampled_from(["random", "empty", "complete", "two_cliques", "star"]),
            slack=st.sampled_from([0.05, 0.3, 0.6, 0.9, 1.0]))
     def test_result_is_its_own_recount(self, seed, n, k, objective, kind, slack):
-        # The result is built from the winner's recount alone: its value must
-        # be the scorer's over the returned labeling, bit for bit, and the
+        # The result is the winner's batch value, with no recount: it must be
+        # the scorer's over the returned labeling, bit for bit, and the
         # labeling must be feasible.
         g = tie_heavy_graph(kind, n, np.random.default_rng(seed))
         cfg = SearchConfig(objective=objective, alpha=min(slack / k, 0.95), restarts=1)
@@ -369,100 +367,49 @@ class TestCachedBlockTerms:
                 assert state.table[j] == np.bincount(z[neighbors(g, j)], minlength=k).tolist()
 
 
-def ufunc_potentials(z, sizes, src, dst, objective):
-    """_potentials computed by the scipy.special ufuncs over float counters:
-    xlogy(x, x) for ML, gammaln(x + 1/2) and gammaln(x + 1) for ICL."""
-    if objective == "ml":
-        a_of = b_of = lambda x: xlogy(x, x)
-        beta, h, w = 0.0, 1.0, 2.0
-    else:
-        a_of, b_of = (lambda x: gammaln(x + 0.5)), (lambda x: gammaln(x + 1.0))
-        beta, h, w = float(betaln(0.5, 0.5)), 2.0, 1.0
-    k = sizes.shape[1]
-    a, b = np.triu_indices(k)
-    same = a == b
-    pairs = search._value_counts(z[:, src] * k + z[:, dst], k * k)
-    scale = np.where(same, 1.0 / h, 1.0)
-    o = (pairs[:, a * k + b] + pairs[:, b * k + a]) * scale
-    m = sizes[:, a] * (sizes[:, b] - same) * scale
-    terms = a_of(o)
-    terms -= b_of(m)
-    terms += a_of(m - o)
-    terms -= beta
-    terms *= np.where(same, 1.0, w)
-    # Each row left to right over the blocks, whatever the chunk's length.
-    total = terms[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        total += terms[:, j]
-    return total
+def batch_values(g, z, k, objective):
+    """Exact search's values of the labeling rows z of g."""
+    src = np.repeat(np.arange(g.n), g.degrees())
+    once = src < g.indices
+    return search._objective_values(z, search._value_counts(z, k), src[once], g.indices[once],
+                                    objective)
 
 
 class TestBatchPotentials:
-    """Exact search's array terms against the greedy kernel's scalar terms,
-    and bit for bit against the scipy.special ufuncs."""
+    """Exact search's batch values against the public scorers, bit for bit."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(2, 5),
            objective=st.sampled_from(["ml", "icl"]), data=st.data())
-    def test_rows_equal_full_potential(self, seed, k, objective, data):
+    def test_rows_equal_public_scorer(self, seed, k, objective, data):
         rng = np.random.default_rng(seed)
-        n = data.draw(st.integers(k, 12))
+        n = data.draw(st.integers(2, 3 * k))
         g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
-        # Every community holds at least one node, as in any feasible labeling.
-        rows = [data.draw(st.permutations(
-                    list(range(k)) + data.draw(st.lists(st.integers(0, k - 1),
-                                                        min_size=n - k, max_size=n - k))))
-                for _ in range(data.draw(st.integers(1, 4)))]
+        # Any labels: at most three nodes per community on average, so rows
+        # hold singleton communities, whose diagonal blocks have no pairs,
+        # and empty ones, and rows of one chunk leave out different counts
+        # of blocks.
+        rows = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                                  min_size=1, max_size=8))
         z = np.array(rows, dtype=np.int8)
-        src = np.repeat(np.arange(n), g.degrees())
-        once = src < g.indices
-        got, _ = search._potentials(z, search._value_counts(z, k), src[once], g.indices[once],
-                                    search._term_tables(objective, n))
-        for row, value in zip(rows, got.tolist()):
-            want = _GreedyState(g, k, row, objective).full_potential()
-            assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
-           objective=st.sampled_from(["ml", "icl"]), data=st.data())
-    def test_rows_equal_ufunc_formula(self, seed, k, objective, data):
-        rng = np.random.default_rng(seed)
-        n = data.draw(st.integers(k, 12))
-        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
-        # Any labels, empty communities included: the tables cover m = 0.
-        z = rng.integers(0, k, size=(data.draw(st.integers(1, 8)), n)).astype(np.int8)
-        sizes = search._value_counts(z, k)
-        src = np.repeat(np.arange(n), g.degrees())
-        once = src < g.indices
-        src, dst = src[once], g.indices[once]
-        got, counts = search._potentials(z, sizes, src, dst, search._term_tables(objective, n))
-        want = ufunc_potentials(z, sizes, src, dst, objective)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
-        # The counts are the upper triangle of block_counters' endpoint counts.
-        upper = np.triu_indices(k)
-        for row, row_counts in zip(z, counts):
-            edge_counts = block_counters(g, Labeling(row, k)).edge_counts
-            assert row_counts.tolist() == edge_counts[upper].tolist()
-
+        score = ml_from_counters if objective == "ml" else icl_from_counters
+        for row, value in zip(rows, batch_values(g, z, k, objective).tolist()):
+            want = score(block_counters(g, Labeling(row, k)))
+            assert value.hex() == want.hex(), (row, value, want)
 
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     @pytest.mark.parametrize("k", [4, 5])
     def test_row_alone_equals_row_in_a_chunk(self, k, objective):
-        # A one-row chunk is row-major and a longer one column-major; the
-        # potential of a labeling must not depend on which it sits in.
+        # A one-row chunk and a longer one are laid out differently; the
+        # value of a labeling must not depend on which it sits in.
         rng = np.random.default_rng(40 + k)
         n = 11
-        tables = search._term_tables(objective, n)
         for _ in range(30):
             g = random_graph(rng, n, p=float(rng.uniform(0.1, 0.9)))
-            src = np.repeat(np.arange(n), g.degrees())
-            once = src < g.indices
-            src, dst = src[once], g.indices[once]
             z = rng.integers(0, k, size=(7, n)).astype(np.int8)
-            sizes = search._value_counts(z, k)
-            chunk = search._potentials(z, sizes, src, dst, tables)[0]
-            alone = np.concatenate([search._potentials(z[r:r + 1], sizes[r:r + 1], src, dst,
-                                                       tables)[0] for r in range(len(z))])
+            chunk = batch_values(g, z, k, objective)
+            alone = np.concatenate([batch_values(g, z[r:r + 1], k, objective)
+                                    for r in range(len(z))])
             assert np.array_equal(chunk.view(np.int64), alone.view(np.int64)), (z, chunk, alone)
 
 
@@ -628,83 +575,35 @@ class TestExactReferenceOracle:
             with pytest.raises(error):
                 search_fn(g, k, cfg)
 
-    @staticmethod
-    def nudge_scorers(monkeypatch, objective):
-        """Nudge each labeling's value by up to 1e-12, fixed by its counters,
-        in both exact_argmax and the reference."""
-        name = f"{objective}_from_counters"
-        true_score = getattr(modularity, name)
+    @pytest.mark.parametrize("n,k,objective,edges", [
+        (6, 2, "icl", [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)]),
+        (7, 3, "ml", [(0, 2), (0, 5), (1, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]),
+    ], ids=["n6-k2-icl", "n7-k3-ml"])
+    def test_sums_one_ulp_apart_tie_as_values(self, n, k, objective, edges):
+        # The term sum of a later labeling is one ulp above the first top
+        # labeling's, and the two round to one value once divided by the
+        # normalizer. The values tie, so the first labeling wins; comparing
+        # the undivided sums would pick the later one.
+        g = Graph.from_edges(n, edges)
+        cfg = SearchConfig(objective=objective, alpha=0.01, restarts=1)
+        assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
 
-        def nudged(counters):
-            key = zlib.crc32(counters.sizes.tobytes() + counters.edge_counts.tobytes())
-            return true_score(counters) + 1e-12 * (key % 97) / 97
-
-        monkeypatch.setattr(search, name, nudged)
-        monkeypatch.setattr(reference_exact, name, nudged)
-
-    @pytest.mark.parametrize("objective", ["ml", "icl"])
-    def test_nudged_scorer_near_ties(self, monkeypatch, objective):
-        # The nudges reorder exact and near ties the way rounding in the
-        # vectorized sums can. Every leaf that could then win lies within
-        # the re-scoring window, so the result must still be the reference's.
-        self.nudge_scorers(monkeypatch, objective)
-        rng = np.random.default_rng(11)
-        for kind, n, k in itertools.product(["star", "two_cliques", "complete", "empty",
-                                             "random"], range(4, 10), [2, 3]):
-            g = tie_heavy_graph(kind, n, rng)
-            cfg = SearchConfig(objective=objective, alpha=0.1, restarts=1)
-            assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
-
-    @pytest.mark.parametrize("objective", ["ml", "icl"])
-    def test_every_labeling_near_the_top(self, monkeypatch, objective):
-        # Flat potentials put every labeling above the re-scoring floor, so
-        # exact search re-scores each distinct counter matrix once. The
-        # nudges rank the labelings of equal sizes but different counters
-        # apart, so a key that merged them would skip a winner.
-        self.nudge_scorers(monkeypatch, objective)
-        potentials = search._potentials
-
-        def flat(*args):
-            total, counts = potentials(*args)
-            return np.zeros_like(total), counts
-
-        monkeypatch.setattr(search, "_potentials", flat)
-        rng = np.random.default_rng(12)
-        for kind, n, k in itertools.product(["star", "two_cliques", "random", "random"],
-                                            range(4, 9), [2, 3]):
-            g = tie_heavy_graph(kind, n, rng)
-            cfg = SearchConfig(objective=objective, alpha=0.1, restarts=1)
-            assert_same_fit(exact_argmax(g, k, cfg), reference_exact_argmax(g, k, cfg))
-
-    @pytest.mark.parametrize("objective", ["ml", "icl"])
-    def test_few_recounts_at_n10(self, monkeypatch, objective):
-        # The reference recounts all 2^9 = 512 canonical labelings of 10
-        # nodes into 2 communities; the batched enumeration, all in one
-        # chunk here, recounts only the labeling of the chunk's largest
-        # potential, and that recount is its FitResult.
-        _, g = sample(balanced_params(2, 18.0, 1.0, 0.05), 10, seed=3)
-        cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
-        calls = []
-
-        def counting_block_counters(*args):
-            calls.append(args)
-            return block_counters(*args)
-
-        monkeypatch.setattr(search, "block_counters", counting_block_counters)
-        fit = exact_argmax(g, 2, cfg)
-        assert len(calls) == 1
-        monkeypatch.undo()
-        assert_same_fit(fit, reference_exact_argmax(g, 2, cfg))
-
-    @pytest.mark.parametrize("kind", ["empty", "complete"])
-    @pytest.mark.parametrize("k, distinct", [(3, 45), (4, 120)])
-    def test_one_recount_per_distinct_counters(self, monkeypatch, kind, k, distinct):
-        # Every ML labeling of the empty or the complete 11-node graph scores
-        # 0: all 28,501 canonical labelings at k = 3 and all 145,750 at
-        # k = 4 lie at the top potential. Their counters depend on the sizes
-        # alone, which take 45 and 120 values, so one recount each suffices.
-        g = tie_heavy_graph(kind, 11, None)
-        cfg = SearchConfig(objective="ml", restarts=1)
+    @pytest.mark.parametrize("kind,n,k,objective", [
+        ("sbm", 10, 2, "ml"), ("sbm", 10, 2, "icl"), ("empty", 11, 3, "ml"),
+        ("complete", 11, 3, "ml"), ("empty", 11, 4, "ml"), ("complete", 11, 4, "ml"),
+    ])
+    def test_no_recounts(self, monkeypatch, kind, n, k, objective):
+        # Each batch value is the public objective's own float, so exact
+        # search recounts no labeling, not even its winner. Every ML labeling
+        # of the empty or the complete 11-node graph scores 0: all 28,501
+        # canonical labelings at k = 3 and all 145,750 at k = 4 tie, and the
+        # first of them must win.
+        if kind == "sbm":
+            _, g = sample(balanced_params(2, 18.0, 1.0, 0.05), n, seed=3)
+            cfg = SearchConfig(objective=objective, alpha=0.2, restarts=1)
+        else:
+            g = tie_heavy_graph(kind, n, None)
+            cfg = SearchConfig(objective=objective, restarts=1)
         calls = []
 
         def counting_block_counters(*args):
@@ -713,7 +612,7 @@ class TestExactReferenceOracle:
 
         monkeypatch.setattr(search, "block_counters", counting_block_counters)
         fit = exact_argmax(g, k, cfg)
-        assert len(calls) <= distinct
+        assert calls == []
         monkeypatch.undo()
         assert_same_fit(fit, reference_exact_argmax(g, k, cfg))
 
@@ -743,7 +642,7 @@ class TestSharedContext:
 
 
 class TestExactCaches:
-    """Exact search's cached enumerations and term tables change no result."""
+    """Exact search's cached enumerations and term table change no result."""
 
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     @pytest.mark.parametrize("n,k", [(10, 2), (7, 3)])
@@ -768,8 +667,8 @@ class TestExactCaches:
 
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     def test_one_community_fills_no_memo(self, monkeypatch, objective):
-        # The guard does not bound n at k = 1: tables over every pair count
-        # of a 600-node path would add 359,401 memo entries for one labeling.
+        # The guard does not bound n at k = 1: an ML term table for a 600-node
+        # path would hold 6.5 * 10^10 terms, for one labeling.
         # Scoring that labeling with the public objective comes first, since
         # the ICL objective sums memoized terms; the search adds nothing more.
         monkeypatch.setattr(search, "_ENUMERATIONS", {})
@@ -790,8 +689,7 @@ class TestExactCaches:
         cfg = SearchConfig(objective="icl", alpha=0.25, restarts=1)
         exact_argmax(two_cliques(), 2, cfg)
         [(z, sizes)] = search._ENUMERATIONS[(8, 2, search._min_size(8, 2, cfg))]
-        _, A, B = search._TERM_TABLES[("icl", 8)]
-        for x in (z, sizes, A, B):
+        for x in (z, sizes, search._TERM_TABLES[("icl", 8)]):
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0
 
