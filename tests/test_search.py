@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, xlogy
+from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from sbmfit import (
     Graph,
@@ -375,6 +375,39 @@ def batch_values(g, z, k, objective):
                                     objective)
 
 
+def ufunc_values(g, z, k, objective):
+    """The public values of the labeling rows z of g computed by the
+    scipy.special ufuncs over float counters read from block_counters:
+    m * (xlogy(p, p) + xlog1py(1 - p, -p)) at p = o / m for ML,
+    gammaln(o + 1/2) + gammaln(m - o + 1/2) - gammaln(m + 1) - betaln(1/2, 1/2)
+    for ICL. Each row sums the sorted terms of its blocks that hold pairs,
+    each block a < b entered w times, and divides by w n^2."""
+    if objective == "ml":
+        h, w = 1, 2
+        def term(o, m):
+            p = o / m
+            return m * (xlogy(p, p) + xlog1py(1.0 - p, -p))
+    else:
+        h, w = 2, 1
+        def term(o, m):
+            return gammaln(o + 0.5) + gammaln(m - o + 0.5) - gammaln(m + 1.0) - betaln(0.5, 0.5)
+    n = g.n
+    values = []
+    for row in z:
+        counters = block_counters(g, Labeling(row, k))
+        o, m = [], []
+        for a in range(k):
+            for b in range(a, k):
+                d = h if a == b else 1
+                times = 1 if a == b else w
+                o += [counters.edge_counts[a, b] // d] * times
+                m += [counters.sizes[a] * (counters.sizes[b] - (a == b)) // d] * times
+        o, m = np.array(o, dtype=float), np.array(m, dtype=float)
+        held = m > 0
+        values.append(float(np.sort(term(o[held], m[held])).sum()) / (w * n * n))
+    return np.array(values)
+
+
 class TestBatchPotentials:
     """Exact search's batch values against the public scorers, bit for bit."""
 
@@ -396,6 +429,41 @@ class TestBatchPotentials:
         for row, value in zip(rows, batch_values(g, z, k, objective).tolist()):
             want = score(block_counters(g, Labeling(row, k)))
             assert value.hex() == want.hex(), (row, value, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_rows_equal_full_potential(self, seed, k, objective, data):
+        # The greedy kernel's potential, summed from its own block terms,
+        # is the unnormalized value of the same labeling.
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(k, 12))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        # Every community holds at least one node, as in any feasible labeling.
+        rows = [data.draw(st.permutations(
+                    list(range(k)) + data.draw(st.lists(st.integers(0, k - 1),
+                                                        min_size=n - k, max_size=n - k))))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        z = np.array(rows, dtype=np.int8)
+        w = 2.0 if objective == "ml" else 1.0
+        for row, value in zip(rows, batch_values(g, z, k, objective).tolist()):
+            want = _GreedyState(g, k, row, objective).full_potential() / (w * n * n)
+            assert math.isclose(value, want, rel_tol=1e-12), (row, value, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_rows_equal_ufunc_formula(self, seed, k, objective, data):
+        # Bit for bit against the scipy.special ufuncs over block_counters'
+        # counts, so the batch's pair counts are block_counters' too.
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(k, 12))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
+        # Any labels, empty communities included: the table covers m = 0.
+        z = rng.integers(0, k, size=(data.draw(st.integers(1, 8)), n)).astype(np.int8)
+        got = batch_values(g, z, k, objective)
+        want = ufunc_values(g, z, k, objective)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (z, got, want)
 
     @pytest.mark.parametrize("objective", ["ml", "icl"])
     @pytest.mark.parametrize("k", [4, 5])
