@@ -18,16 +18,13 @@ from .metrics import nmi
 
 # The experiments, search, theory and plotting modules are imported by the
 # commands that use them, so `sample` and `eval` start without them. No
-# command imports scipy.special: the log terms come from sbmfit._cephes and
-# its table of small ICL blocks, and exact search reads the search memos.
-# scipy.optimize is imported only for misclassification at k > 8.
+# command imports scipy.special: the log terms come from sbmfit._cephes,
+# and exact search reads its block terms from tables filled with the
+# objectives' public terms. scipy.optimize is imported only for
+# misclassification at k > 8.
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
-
-
-def _float_list(text):
-    return [float(v) for v in text.replace(",", " ").split()]
 
 
 def _separation(text):
@@ -37,12 +34,14 @@ def _separation(text):
     return value
 
 
-def _separation_list(text):
-    return [_separation(v) for v in text.replace(",", " ").split()]
-
-
-def _int_list(text):
-    return [int(v) for v in text.replace(",", " ").split()]
+def _list_of(convert):
+    """The argparse type of a list of convert's values, split at commas or spaces."""
+    def values(text):
+        try:
+            return [convert(v) for v in text.replace(",", " ").split()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return values
 
 
 def _config_flag(text):
@@ -56,29 +55,22 @@ def _config_flag(text):
 def _load_config_defaults(argv, parser, subparsers):
     """Pull --config key=value files in as parser defaults.
 
-    A line without '=' and a key that no subcommand defines are usage
-    errors; a key of another subcommand than the one run is accepted, so
-    one file can serve several commands.
+    A line without '=', a key that no subcommand defines and a key given
+    twice are usage errors; a key of another subcommand than the one run
+    is accepted, so one file can serve several commands. A key is an
+    option's name with '-' or '_' between its words.
     """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    defaults = {}
-    if known.config:
-        dests = {action.dest for sub in subparsers for action in sub._actions} - {"help"}
-        try:
-            lines = list(sbmio._content_lines(known.config))
-        except OSError as exc:
-            parser.error(f"--config: {exc}")
-        for line in lines:
-            key, eq, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            if not eq:
-                parser.error(f"--config: line {line!r} is not 'key = value'")
-            if dest not in dests:
-                parser.error(f"--config: unknown key {key.strip()!r}")
-            defaults[dest] = value.strip()
-    return defaults
+    if not known.config:
+        return {}
+    dests = {action.dest for sub in subparsers for action in sub._actions} - {"help"}
+    keys = {spelling: dest for dest in dests for spelling in (dest, dest.replace("_", "-"))}
+    try:
+        return sbmio._key_values(known.config, keys, "key")
+    except (OSError, ParameterError) as exc:
+        parser.error(f"--config: {exc}")
 
 
 def _build_parser():
@@ -132,15 +124,15 @@ def _build_parser():
 
     p = sub.add_parser("sweep-separation", parents=[sweep],
                        help="NMI against community separation")
-    p.add_argument("--seps", type=_separation_list, required=True)
+    p.add_argument("--seps", type=_list_of(_separation), required=True)
 
     p = sub.add_parser("sweep-sparsity", parents=[sweep], help="NMI against the sparsity scale")
-    p.add_argument("--rhos", type=_float_list, required=True)
+    p.add_argument("--rhos", type=_list_of(float), required=True)
     p.add_argument("--separation", type=_separation, default=2.10)
 
     p = sub.add_parser("concentration", help="block-frequency concentration check")
     p.add_argument("--params", help="parameter file; default balanced k=3 model")
-    p.add_argument("--n-list", type=_int_list, default=[100, 200, 400])
+    p.add_argument("--n-list", type=_list_of(int), default=[100, 200, 400])
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--delta", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
@@ -252,19 +244,26 @@ def _cmd_constant(args):
     return 0
 
 
-def _write_sweep_outputs(rows, args, key):
-    from .experiments import objective_agreement_notes, rows_csv, summarize, summary_csv
+def _cmd_sweep(args):
+    from . import experiments
     from .plotting import sweep_plot_svg
 
+    if args.command == "sweep-separation":
+        sweep, grid, key, extra = experiments.sweep_separation, args.seps, "separation", {}
+    else:
+        sweep, grid, key = experiments.sweep_sparsity, args.rhos, "rho"
+        extra = {"separation": args.separation}
+    rows = sweep(args.n, args.k, grid, args.reps, _search_config(args), base_seed=args.seed,
+                 keep_labelings=args.keep_labelings, **extra)
     if not rows:
         raise ParameterError("no grid point was fitted: the grid is empty or every point "
                              "was skipped")
     # Every output is rendered before any file is opened, so a failure
     # leaves no partial output behind.
-    summary = summarize(rows, key=key)
-    outputs = [(args.out, rows_csv(rows, include_timing=args.timing))]
+    summary = experiments.summarize(rows, key=key)
+    outputs = [(args.out, experiments.rows_csv(rows, include_timing=args.timing))]
     if args.summary:
-        outputs.append((args.summary, summary_csv(summary, key=key)))
+        outputs.append((args.summary, experiments.summary_csv(summary, key=key)))
     if args.plot:
         label = "separation (sqrt(s1)-sqrt(s2))^2" if key == "separation" else "rho"
         outputs.append((args.plot, sweep_plot_svg(summary, x_label=label,
@@ -277,31 +276,8 @@ def _write_sweep_outputs(rows, args, key):
             f"{key}={row.grid:g} {row.objective}: mean nmi {row.mean_nmi:.4f} "
             f"+/- {row.se_nmi:.4f} ({row.reps} reps)"
         )
-    for note in objective_agreement_notes(summary):
+    for note in experiments.objective_agreement_notes(summary):
         print(note)
-
-
-def _cmd_sweep_separation(args):
-    from .experiments import sweep_separation
-
-    cfg = _search_config(args)
-    rows = sweep_separation(
-        args.n, args.k, args.seps, args.reps, cfg, base_seed=args.seed,
-        keep_labelings=args.keep_labelings,
-    )
-    _write_sweep_outputs(rows, args, "separation")
-    return 0
-
-
-def _cmd_sweep_sparsity(args):
-    from .experiments import sweep_sparsity
-
-    cfg = _search_config(args)
-    rows = sweep_sparsity(
-        args.n, args.k, args.rhos, args.reps, cfg, base_seed=args.seed,
-        separation=args.separation, keep_labelings=args.keep_labelings,
-    )
-    _write_sweep_outputs(rows, args, "rho")
     return 0
 
 
@@ -314,16 +290,16 @@ def _cmd_concentration(args):
 
     if not args.n_list:
         raise ParameterError("--n-list needs at least one n")
-    reports = []
-    for n in args.n_list:
-        if args.params:
-            params = sbmio.read_params(args.params, n=n)
-        else:
-            params = concentration_default_params(n)
-        if not reports:
-            params0 = params
+    models = [(n, sbmio.read_params(args.params, n=n) if args.params
+               else concentration_default_params(n)) for n in args.n_list]
+    # The diagnostic runs first, so a model it refuses leaves no output.
+    n0, params0 = models[0]
+    diag = deviation_scale_diagnostic(params0, n0, flips=5, reps=min(args.reps, 100),
+                                      base_seed=args.seed)
+    fractions = []
+    for n, params in models:
         report = concentration_experiment(params, n, args.reps, args.delta, base_seed=args.seed)
-        reports.append(report)
+        fractions.append(report.violation_fraction)
         print(
             f"n={report.n} rho={report.rho:.6g} delta={report.delta:g} "
             f"violation_fraction={report.violation_fraction:.4f} "
@@ -331,12 +307,8 @@ def _cmd_concentration(args):
             f"radius={report.theoretical_bound:.6g} "
             f"w_self_max={report.w_self_max:.6g}"
         )
-    fractions = [r.violation_fraction for r in reports]
     monotone = all(b <= a + 0.05 for a, b in zip(fractions, fractions[1:]))
     print(f"violation_fraction_nonincreasing_within_band {'yes' if monotone else 'no'}")
-    n0 = args.n_list[0]
-    diag = deviation_scale_diagnostic(params0, n0, flips=5, reps=min(args.reps, 100),
-                                      base_seed=args.seed)
     print(
         f"deviation_diagnostic n={n0} p{diag['percentile']:g} sup|W|="
         f"{diag['sup_deviation_percentile']:.6g} fitted_c={diag['fitted_c']:.4g} "
@@ -362,8 +334,8 @@ _COMMANDS = {
     "fit": _cmd_fit,
     "eval": _cmd_eval,
     "constant": _cmd_constant,
-    "sweep-separation": _cmd_sweep_separation,
-    "sweep-sparsity": _cmd_sweep_sparsity,
+    "sweep-separation": _cmd_sweep,
+    "sweep-sparsity": _cmd_sweep,
     "concentration": _cmd_concentration,
     "verify": _cmd_verify,
 }
@@ -387,7 +359,7 @@ def main(argv=None):
                     convert = _config_flag
                 try:
                     coerced[action.dest] = raw if convert is None else convert(raw)
-                except ValueError as exc:
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     parser.error(f"--config {action.dest} = {raw!r}: {exc}")
                 action.required = False
             if coerced:

@@ -77,35 +77,22 @@ def balanced_params(k, s1, s2, rho):
     return SbmParams(k=k, pi=pi, s=s, rho=rho)
 
 
-def _fit_row(g, z_true, params, cfg, objective, replicate_seed, separation, keep_dir):
-    fit_cfg = dataclasses.replace(
-        cfg, objective=objective, seed=derive_seed(replicate_seed, 1)
-    )
-    start = time.perf_counter()
-    fit = greedy_argmax(g, z_true.k, fit_cfg)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if keep_dir is not None:
-        write_labeling(keep_dir / f"{replicate_seed}_{objective}.labels", fit.labeling)
-    return SweepRow(
-        n=g.n,
-        k=z_true.k,
-        s1=float(params.s[0, 0]),
-        s2=float(params.s[0, 1]) if params.k > 1 else float(params.s[0, 0]),
-        separation=separation,
-        rho=params.rho,
-        replicate_seed=replicate_seed,
-        objective=objective,
-        nmi=nmi(fit.labeling, z_true),
-        misclassified=misclassification(fit.labeling, z_true),
-        runtime_ms=elapsed_ms,
-    )
+def _replicates(replicate, reps, base_seed, *point):
+    """[replicate(seed) for each of reps replicates], in replicate order.
+
+    The one replicate loop of every experiment. Replicate r of a grid point
+    is seeded derive_seed(base_seed, *point, r): a sweep passes its grid
+    index as the point, and the concentration experiment and the deviation
+    diagnostic pass none. ParameterError when reps < 1.
+    """
+    if reps < 1:
+        raise ParameterError(f"reps must be >= 1, got {reps}")
+    return [replicate(derive_seed(base_seed, *point, rep)) for rep in range(reps)]
 
 
 def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=None):
     if k < 2:
         raise ParameterError("sweeps need at least two communities")
-    if reps < 1:
-        raise ParameterError(f"reps must be >= 1, got {reps}")
     keep_dir = None if keep_labelings is None else Path(keep_labelings)
     rows = []
     for gi, grid_value in enumerate(grid):
@@ -116,19 +103,32 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
                 f"skipping grid point {grid_value!r}: {exc}", stacklevel=2
             )
             continue
-        for rep in range(reps):
-            replicate_seed = derive_seed(base_seed, gi, rep)
-            z_true, g = sample(params, n, replicate_seed)
+
+        def replicate(seed):
+            # One sample, then one fit per objective, seeded derive_seed(seed, 1).
+            z_true, g = sample(params, n, seed)
             if keep_dir is not None:
                 keep_dir.mkdir(parents=True, exist_ok=True)
-                write_labeling(keep_dir / f"{replicate_seed}_true.labels", z_true)
+                write_labeling(keep_dir / f"{seed}_true.labels", z_true)
+            fit_rows = []
             for objective in ("ml", "icl"):
-                rows.append(
-                    _fit_row(
-                        g, z_true, params, cfg, objective, replicate_seed, separation,
-                        keep_dir,
-                    )
-                )
+                fit_cfg = dataclasses.replace(cfg, objective=objective, seed=derive_seed(seed, 1))
+                start = time.perf_counter()
+                fit = greedy_argmax(g, k, fit_cfg)
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                if keep_dir is not None:
+                    write_labeling(keep_dir / f"{seed}_{objective}.labels", fit.labeling)
+                fit_rows.append(SweepRow(
+                    n=n, k=k, s1=float(params.s[0, 0]), s2=float(params.s[0, 1]),
+                    separation=separation, rho=params.rho, replicate_seed=seed,
+                    objective=objective, nmi=nmi(fit.labeling, z_true),
+                    misclassified=misclassification(fit.labeling, z_true),
+                    runtime_ms=elapsed_ms,
+                ))
+            return fit_rows
+
+        for fit_rows in _replicates(replicate, reps, base_seed, gi):
+            rows += fit_rows
     return rows
 
 
@@ -268,34 +268,28 @@ def concentration_experiment(params, n, reps, delta, base_seed=0):
     Also verifies that the centered edge-count deviation of the true
     labeling against itself is exactly zero.
     """
-    if reps < 1:
-        raise ParameterError(f"reps must be >= 1, got {reps}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ParameterError(f"delta must be finite and >= 0, got {delta}")
     radius = math.sqrt(delta * params.rho * math.log(n)) / n
-    violations = 0
-    worst = 0.0
-    w_self_max = 0.0
     p = params.p
-    for rep in range(reps):
-        z, g = sample(params, n, derive_seed(base_seed, rep))
+
+    def replicate(seed):
+        z, g = sample(params, n, seed)
         counters = block_counters(g, z)
         dev = np.where(counters.pair_counts > 0, counters.densities() - p, 0.0)
-        sup = float(np.abs(dev).max())
-        worst = max(worst, sup)
-        if sup >= radius:
-            violations += 1
         w = edge_count_deviation(g, z, z, params)
-        w_self_max = max(w_self_max, float(np.abs(w).max()))
+        return float(np.abs(dev).max()), float(np.abs(w).max())
+
+    sups, w_selfs = zip(*_replicates(replicate, reps, base_seed))
     return ConcentrationReport(
         n=n,
         rho=params.rho,
         delta=delta,
-        empirical_sup_deviation=worst,
+        empirical_sup_deviation=max(sups),
         theoretical_bound=radius,
         replicates=reps,
-        violation_fraction=violations / reps,
-        w_self_max=w_self_max,
+        violation_fraction=sum(sup >= radius for sup in sups) / reps,
+        w_self_max=max(w_selfs),
     )
 
 
@@ -313,21 +307,29 @@ def deviation_scale_diagnostic(params, n, flips, reps, base_seed=0):
 
     Draws replicates, perturbs the true labeling by relabeling `flips`
     nodes, and returns the 99th percentile of the sup deviation together with
-    the implied c and the matching finite-n budget.
+    the implied c and the matching finite-n budget. A replicate seeded s
+    draws its flips from derive_seed(s, 1). ParameterError unless
+    0 <= flips <= n and k >= 2.
     """
-    sups = []
-    rng = np.random.Generator(np.random.PCG64(derive_seed(base_seed, 12345)))
-    for rep in range(reps):
-        z, g = sample(params, n, derive_seed(base_seed, rep))
+    if params.k < 2:
+        raise ParameterError(f"the deviation diagnostic relabels nodes, so it needs k >= 2, "
+                             f"got k = {params.k}")
+    if not 0 <= flips <= n:
+        raise ParameterError(f"flips must lie in 0..n = {n}, got {flips}")
+
+    def replicate(seed):
+        z, g = sample(params, n, seed)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
         e_labels = z.labels.copy()
         idx = rng.choice(n, size=flips, replace=False)
         e_labels[idx] = (e_labels[idx] + 1 + rng.integers(0, params.k - 1, size=flips)) % params.k
         e = Labeling(e_labels, params.k)
-        m = misclassification(e, z)
         w = edge_count_deviation(g, e, z, params)
-        sups.append((float(np.abs(w).max()), m))
-    qs = float(np.percentile([s for s, _ in sups], 99.0))
-    mean_m = float(np.mean([m for _, m in sups]))
+        return float(np.abs(w).max()), misclassification(e, z)
+
+    sups, ms = zip(*_replicates(replicate, reps, base_seed))
+    qs = float(np.percentile(sups, 99.0))
+    mean_m = float(np.mean(ms))
     scale = params.rho * max(mean_m, 1.0) / n
     return {
         "percentile": 99.0,

@@ -3,7 +3,9 @@
 Edge list: a header line ``n k``, then one ``i j`` pair per line,
 whitespace separated and 1-based; a file without the header is read with
 header=False (``fit --no-header``). Labeling file: one 1-based integer label
-per line. Ids and labels are decimal integers that fit in int64. Parameter file: flat ``key = value`` lines (see read_params).
+per line. Ids and labels are decimal integers that fit in int64. Parameter
+file: flat ``key = value`` lines (see read_params), read by the same reader
+as the CLI's --config files.
 """
 
 import math
@@ -138,6 +140,31 @@ def _numbers(key, text):
     return [_number(float, key, v) for v in text.replace(",", " ").split()]
 
 
+def _key_values(path, keys, what):
+    """The ``key = value`` lines of a file, as a dict from key name to value.
+
+    keys maps each accepted spelling of a key to its name; what names a
+    key in messages. ParameterError for a line without '=', for a key
+    outside keys, and for a name given twice: only S, one row of the rate
+    matrix per line, may repeat, and its value is the list of its rows.
+    """
+    entries = {}
+    for line in _content_lines(path):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ParameterError(f"line {line!r} is not 'key = value'")
+        if key not in keys:
+            raise ParameterError(f"unknown {what} {key!r}")
+        name = keys[key]
+        if name == "S":
+            entries.setdefault(name, []).append(value)
+        elif name in entries:
+            raise ParameterError(f"{what} {key!r} is set twice")
+        else:
+            entries[name] = value
+    return entries
+
+
 def read_rates(path):
     """Read just (k, pi, S) from a parameter file, ignoring sparsity keys.
 
@@ -146,29 +173,14 @@ def read_rates(path):
     """
     from .sampling import _check_rates
 
-    entries = {}
-    s_rows = []
-    for line in _content_lines(path):
-        if "=" not in line:
-            raise ParameterError(f"malformed parameter line: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in PARAM_KEYS:
-            raise ParameterError(f"unknown parameter key {key!r}")
-        if key == "S":
-            s_rows.append(_numbers("S", value))
-        elif key in entries:
-            raise ParameterError(f"parameter key {key!r} is set twice")
-        else:
-            entries[key] = value
-
+    entries = _key_values(path, {key: key for key in PARAM_KEYS}, "parameter key")
     if "k" not in entries:
         raise ParameterError("parameter file must set k")
     k = _number(int, "k", entries["k"])
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     pi = _numbers("pi", entries["pi"]) if "pi" in entries else np.full(k, 1.0 / k)
+    s_rows = [_numbers("S", row) for row in entries.get("S", [])]
     if len(s_rows) != k or any(len(row) != k for row in s_rows):
         shape = [len(row) for row in s_rows]
         raise ParameterError(f"expected {k} rows of S with {k} entries, got row lengths {shape}")

@@ -129,6 +129,7 @@ def test_config_defaults_reach_both_sweeps(tmp_path):
     ("restarts 5", "line 'restarts 5' is not"),
     ("no-header", "line 'no-header' is not"),  # a flag's key alone, without '='
     ("exact = maybe", "exact = 'maybe'"),
+    ("k = 3", "key 'k' is set twice"),  # neither value may silently win
 ])
 def test_config_typo_exits_two(tmp_path, params_file, capsys, line, named):
     g_path = str(tmp_path / "g.txt")
@@ -540,6 +541,21 @@ def test_failed_plot_writes_nothing(tmp_path, monkeypatch):
     assert main(["sweep-separation", "--seps", "2", "--n", "20", "--reps", "1",
                  "--restarts", "2", "--out", str(out), "--plot", str(plot)]) == 2
     assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("params_text,argv,named", [
+    (None, ["--n-list", "4"], "flips"),  # the diagnostic's 5 flips on 4 nodes
+    ("k = 1\nS = 2.0\nrho = 0.05\n", [], "k >= 2"),
+    (None, ["--reps", "0"], "reps"),
+])
+def test_concentration_diagnostic_refusals_exit_two(tmp_path, capsys, params_text, argv, named):
+    if params_text is not None:
+        path = tmp_path / "params.txt"
+        path.write_text(params_text)
+        argv = [*argv, "--params", str(path)]
+    assert main(["concentration", "--reps", "3", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def test_concentration_empty_n_list_exit_two(capsys):

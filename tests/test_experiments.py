@@ -18,8 +18,11 @@ from sbmfit.experiments import (
     sweep_sparsity,
     verify_all,
 )
+from sbmfit.graphs import Labeling, misclassification
 from sbmfit.plotting import sweep_plot_svg
+from sbmfit.sampling import derive_seed, sample
 from sbmfit.search import SearchConfig
+from sbmfit.theory import edge_count_deviation
 
 
 def small_cfg(**kw):
@@ -133,6 +136,38 @@ class TestConcentration:
         assert out["fitted_c"] > 0.0
         assert np.isfinite(out["fitted_c"])
         assert out["sup_deviation_percentile"] > 0.0
+
+    @pytest.mark.parametrize("flips", [0, 5, 60])
+    def test_deviation_diagnostic_replicates_stand_alone(self, flips):
+        # Replicate r samples from seed s = derive_seed(base, r) and draws
+        # its flips from derive_seed(s, 1): it depends on its own seed alone.
+        params = balanced_params(3, 3.0, 1.0, 0.08)
+        n, reps, base = 60, 12, 3
+        sups, ms = [], []
+        for rep in range(reps):
+            seed = derive_seed(base, rep)
+            z, g = sample(params, n, seed)
+            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+            labels = z.labels.copy()
+            idx = rng.choice(n, size=flips, replace=False)
+            labels[idx] = (labels[idx] + 1 + rng.integers(0, 2, size=flips)) % 3
+            e = Labeling(labels, 3)
+            sups.append(float(np.abs(edge_count_deviation(g, e, z, params)).max()))
+            ms.append(misclassification(e, z))
+        out = deviation_scale_diagnostic(params, n, flips=flips, reps=reps, base_seed=base)
+        assert out["sup_deviation_percentile"] == np.percentile(sups, 99.0)
+        assert out["mean_misclassification"] == np.mean(ms)
+
+    @pytest.mark.parametrize("k,flips,reps,named", [
+        (2, -1, 5, "flips"),
+        (2, 61, 5, "flips"),
+        (1, 5, 5, "k >= 2"),
+        (2, 5, 0, "reps"),
+    ])
+    def test_deviation_diagnostic_refuses_bad_arguments(self, k, flips, reps, named):
+        params = balanced_params(k, 3.0, 1.0, 0.08)
+        with pytest.raises(ParameterError, match=named):
+            deviation_scale_diagnostic(params, 60, flips=flips, reps=reps)
 
 
 class TestVerify:
