@@ -27,18 +27,24 @@ def _clog(y):
     return -math.inf if y == 0.0 else math.nan
 
 
+def lgam_stirling(x):
+    """lgam at x >= 1000, where Cephes sums Stirling's series."""
+    # q = (x - 1/2) log x - x + log sqrt(2 pi), plus the series' terms in
+    # 1/x up to 10^8.
+    if x > 1.0e8:
+        if x > 2.556348e305:
+            return math.inf
+        return (x - 0.5) * log(x) - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    return ((x - 0.5) * log(x) - x + 0.91893853320467274178
+            + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+               + 0.0833333333333333333333) / x)
+
+
 def lgam(x):
     """log|Gamma(x)|, Cephes lgam: scipy.special.gammaln at a float."""
     if x >= 1000.0:
-        # Stirling's series; q = (x - 1/2) log x - x + log sqrt(2 pi).
-        if x > 1.0e8:
-            if x > 2.556348e305:
-                return math.inf
-            return (x - 0.5) * log(x) - x + 0.91893853320467274178
-        p = 1.0 / (x * x)
-        return ((x - 0.5) * log(x) - x + 0.91893853320467274178
-                + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                   + 0.0833333333333333333333) / x)
+        return lgam_stirling(x)
     if x >= 13.0:
         p = 1.0 / (x * x)
         return ((x - 0.5) * log(x) - x + 0.91893853320467274178

@@ -99,9 +99,8 @@ def _sweep_grid(n, k, grid, reps, cfg, base_seed, param_builder, keep_labelings=
         try:
             params, separation = param_builder(grid_value)
         except ParameterError as exc:
-            warnings.warn(
-                f"skipping grid point {grid_value!r}: {exc}", stacklevel=2
-            )
+            # Level 3 names the caller of sweep_separation or sweep_sparsity.
+            warnings.warn(f"skipping grid point {grid_value!r}: {exc}", stacklevel=3)
             continue
 
         def replicate(seed):
@@ -252,8 +251,11 @@ def concentration_default_params(n):
 
     Rates are sized so each block's deviation-to-radius ratio sits near 1.5
     at n=200 under delta=4, where the violation fraction responds most
-    steeply to n.
+    steeply to n. ParameterError for n < 2, where rho = log(n)/n is not
+    in (0, 1].
     """
+    if n < 2:
+        raise ParameterError(f"the default concentration model needs n >= 2, got n={n}")
     k, s_diag, s_off = 3, 0.523, 1.047
     s = np.full((k, k), s_off)
     np.fill_diagonal(s, s_diag)

@@ -16,6 +16,15 @@ import numpy as np
 _PERMUTATION_LIMIT = 8
 
 
+def _entry_rows(indptr, size):
+    """(lo, hi, rows) over the stored entries of a CSR, 2^14 at a time:
+    rows[e - lo] is the row of entry e, the last row starting at or before
+    it. No array as long as the entries is built."""
+    for lo in range(0, size, 1 << 14):
+        hi = min(lo + (1 << 14), size)
+        yield lo, hi, np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+
+
 def _freeze(arr, dtype=None):
     """Defensive copy marked read-only; callers keep ownership of their input."""
     out = np.array(arr, dtype=dtype, copy=True)
@@ -49,14 +58,29 @@ class Graph:
             raise ValueError("indptr must rise from 0 to the number of stored entries")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError(f"neighbour index out of range for n={self.n}")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
-        if (src == indices).any():
+        # The keys i * n + j of the stored entries (i, j) must rise in storage
+        # order, and equal their transposes j * n + i once sorted. The keys
+        # come a chunk at a time, so the transposes are the one array as long
+        # as the entries that the checks build.
+        n = self.n
+        transposed = indices * n
+        loops = unsorted = False
+        last = -1
+        for lo, hi, rows in _entry_rows(indptr, indices.size):
+            keys = rows * n + indices[lo:hi]
+            loops |= bool((rows == indices[lo:hi]).any())
+            unsorted |= bool(keys[0] <= last or (keys[1:] <= keys[:-1]).any())
+            last = keys[-1]
+            transposed[lo:hi] += rows
+        if loops:
             raise ValueError("self-loops are not allowed")
-        keys = src * self.n + indices
-        if (np.diff(keys) <= 0).any():
+        if unsorted:
             raise ValueError("neighbours must be sorted and distinct within each row")
-        if not np.array_equal(np.sort(indices * self.n + src), keys):
+        transposed.sort()
+        if not all(np.array_equal(transposed[lo:hi], rows * n + indices[lo:hi])
+                   for lo, hi, rows in _entry_rows(indptr, indices.size)):
             raise ValueError("adjacency must be symmetric")
+        del transposed
         object.__setattr__(self, "indptr", _freeze(indptr))
         object.__setattr__(self, "indices", _freeze(indices))
 
@@ -79,15 +103,24 @@ class Graph:
         bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
         if bad.size:
             raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
-        # Sorted in place, repeats are adjacent: cheaper than np.unique's hashing.
-        keys = np.concatenate([i * n + j, j * n + i])
+        # The keys i * n + j of both orientations, built in place and sorted
+        # in place: repeats are adjacent, cheaper than np.unique's hashing.
+        m = len(pairs)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(i, n, out=keys[:m])
+        keys[:m] += j
+        np.multiply(j, n, out=keys[m:])
+        keys[m:] += i
         keys.sort()
-        if keys.size:
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        src, dst = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, indptr, dst)
+        if keys.size > 1:
+            repeats = keys[1:] == keys[:-1]
+            if repeats.any():
+                keys = keys[np.concatenate(([True], ~repeats))]
+            del repeats
+        # Row r starts at the first key of r * n or above; the rest is the column.
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(keys, n, out=keys)
+        return cls(n, indptr, keys)
 
     @property
     def edge_count(self):

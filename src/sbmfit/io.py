@@ -8,13 +8,14 @@ file: flat ``key = value`` lines (see read_params), read by the same reader
 as the CLI's --config files.
 """
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import Graph, Labeling
+from .graphs import Graph, Labeling, _entry_rows
 
 RHO_MODES = ("const", "log_n_over_n", "one_over_n")
 PARAM_KEYS = ("k", "pi", "S", "rho", "rho_mode", "c")
@@ -34,15 +35,21 @@ def _read_int_rows(path, columns, what):
 
     ParameterError when the file has no content line, when a field is not
     a decimal integer that fits in int64, or when a line has another
-    number of fields.
+    number of fields. The lines reach np.loadtxt as a stream, so no list of
+    them is kept.
     """
-    lines = list(_content_lines(path))
-    if not lines:
-        raise ParameterError(f"empty {what} file {path!r}")
+    lines = _content_lines(path)
     try:
-        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError) as exc:
-        raise ParameterError(f"malformed {what} file {path!r}: {exc}") from None
+        first = next(lines, None)
+        if first is None:
+            raise ParameterError(f"empty {what} file {path!r}")
+        try:
+            rows = np.loadtxt(itertools.chain((first,), lines), dtype=np.int64, comments=None,
+                              ndmin=2)
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"malformed {what} file {path!r}: {exc}") from None
+    finally:
+        lines.close()
     if rows.shape[1] != columns:
         raise ParameterError(f"malformed {what} file {path!r}: "
                              f"{rows.shape[1]} fields per line, expected {columns}")
@@ -52,13 +59,17 @@ def _read_int_rows(path, columns, what):
 def write_edge_list(path, g, k=0):
     """Write a graph as a header line ``n k``, then one sorted 1-based edge per line.
 
-    When the community count is unknown, k=0 is written in the header.
+    When the community count is unknown, k=0 is written in the header. The
+    edges are read off the CSR arrays 2^14 stored entries at a time, so no
+    Python object per edge outlives its chunk.
     """
-    lines = [f"{g.n} {k}"]
-    for i, j in g.edges():
-        lines.append(f"{i + 1} {j + 1}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{g.n} {k}\n")
+        for lo, hi, rows in _entry_rows(g.indptr, g.indices.size):
+            src, dst = rows + 1, g.indices[lo:hi] + 1
+            upper = src < dst
+            fh.write("".join([f"{i} {j}\n" for i, j in zip(src[upper].tolist(),
+                                                            dst[upper].tolist())]))
 
 
 def read_edge_list(path, header=True):
@@ -85,8 +96,9 @@ def read_edge_list(path, header=True):
         n = int(rows.max())
         k = 0
         edge_rows = rows
+    edge_rows -= 1  # 0-based, in place: n, k and the largest id are already read
     try:
-        g = Graph.from_edges(n, edge_rows - 1)
+        g = Graph.from_edges(n, edge_rows)
     except ValueError as exc:
         raise ParameterError(f"invalid graph in {path!r}: {exc}") from exc
     duplicates = len(edge_rows) - g.edge_count
@@ -116,12 +128,15 @@ def resolve_rho(mode, n, c=1.0, rho=None):
     """Turn a sparsity mode into a numeric rho for a given network size.
 
     Modes: const (rho given directly), log_n_over_n (c*log(n)/n),
-    one_over_n (c/n). The constant c defaults to 1.
+    one_over_n (c/n). The constant c defaults to 1. ParameterError for
+    n < 1 in the modes that divide by n.
     """
     if mode == "const":
         if rho is None:
             raise ParameterError("rho_mode=const requires an explicit rho value")
         return float(rho)
+    if mode in RHO_MODES and n < 1:
+        raise ParameterError(f"rho_mode={mode} needs n >= 1, got n={n}")
     if mode == "log_n_over_n":
         return c * math.log(n) / n
     if mode == "one_over_n":

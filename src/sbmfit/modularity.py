@@ -10,13 +10,18 @@ term is m * tau(o / m), the kernel term its cancelling x*log(x) form.
 _public_value alone turns counters into an objective value, so the
 public terms, the blocks they cover and the normalizer are written once.
 The x*log(x) and log-gamma values behind the kernel terms are memoized
-per integer argument for the life of the process, so memory grows with
-the distinct counts a process visits, not with n^2. One fill function,
-_fill, alone fills the memos; the block term _f and the greedy move
-kernel read the memos inline and call it on a miss. The memos are filled
-by scalar functions, math.log and the Cephes log-gamma port of
-sbmfit._cephes, which equal scipy.special's ufuncs bit for bit, so no
-objective imports scipy.special.
+per integer argument for the life of the process, with one cap: a memo of
+edge-endpoint counts (A, read at o and m - o) stores no argument above
+_MEMO_BOUND, so it holds at most _MEMO_BOUND + 1 entries however large
+the graph. Above the bound the value is computed at every use. The
+pair-count memos (B, read at m) hold one entry per pair count a process
+visits: 26k after one k = 3 restart at n = 2*10^4. One function, _fill,
+alone stores memo entries. It, the block term _f and the greedy move
+kernel compute an endpoint value above the bound with the record's
+scalar large_a, and read the memos inline below it, calling _fill on a
+miss. The values come from scalar functions, math.log and the Cephes
+log-gamma port of sbmfit._cephes, which equal scipy.special's ufuncs bit
+for bit, so no objective imports scipy.special.
 """
 
 import functools
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cephes import lgam
+from ._cephes import lgam, lgam_stirling
 from .divergences import neg_bernoulli_entropy
 from .graphs import block_counters
 
@@ -35,16 +40,27 @@ LOG_BETA_HALF = 1.1447298858494
 
 OBJECTIVES = ("ml", "icl")
 
-# Memos of x*log(x), gammaln(x + 1/2) and gammaln(x + 1) at the integer
-# arguments visited so far. They are shared by every fit in the process,
-# so a sweep fills them once. Each value comes from a scalar function,
-# _xlogx or the Cephes port lgam, that returns at float(x) the bits the
-# scipy ufunc (xlogy(x, x), gammaln) returns over an array. A forked
-# restart worker starts from the parent's memos and its own fills die with
-# it.
+# Memos of x*log(x) at edge-endpoint counts and at pair counts,
+# gammaln(x + 1/2) at endpoint counts and gammaln(x + 1) at pair counts,
+# at the integer arguments visited so far; the two endpoint memos only up
+# to _MEMO_BOUND. They are shared by every fit in the process, so a sweep
+# fills them once. Each value comes from a scalar function, _xlogx or the
+# Cephes port lgam, that returns at float(x) the bits the scipy ufunc
+# (xlogy(x, x), gammaln) returns over an array. A forked restart worker
+# starts from the parent's memos and its own fills die with it.
 _XLOGX = {}
+_XLOGX_PAIRS = {}
 _LGAMMA_HALF = {}
 _LGAMMA_INT = {}
+
+# The largest endpoint count whose x*log(x) or gammaln(x + 1/2) is
+# memoized. Above it an argument is a new key at almost every use: the
+# non-edge count m - o of a large block. At 2^17 a sweep at n = 200 stores
+# all of its arguments, and a balanced n = 3000 fit stores its edge counts
+# but not the m - o of its blocks of about 2.25 * 10^6 pairs. It must be at
+# least 1000: above it ICL computes lgam(x + 1/2) as lgam_stirling, the
+# branch lgam itself takes at 1000 and above.
+_MEMO_BOUND = 1 << 17
 
 
 def _xlogx(x):
@@ -59,7 +75,9 @@ class _BlockTerm:
     terms(o, m) over integer arrays of blocks with m >= 1 in the public
     value.
 
-    A and B are memos that fill_a and fill_b fill at float(x). A diagonal
+    A and B are memos that fill_a and fill_b fill at float(x), A only up to
+    _MEMO_BOUND. Above it nothing is stored: large_a(x + a_shift) is
+    fill_a's float at float(x), by one call (see _fill). A diagonal
     block divides o and m by h first. A block a < b stands for w ordered
     blocks: the kernel's potential weights its term by w, and the public
     value (see _public_value) enters its term w times and divides the sum
@@ -68,6 +86,8 @@ class _BlockTerm:
 
     A: dict
     fill_a: object
+    large_a: object
+    a_shift: float
     B: dict
     fill_b: object
     beta: float
@@ -90,36 +110,43 @@ def _icl_terms(o, m):
 
 _BLOCK_TERMS = {
     # The plug-in likelihood: m * tau(o / m) over all ordered blocks.
-    "ml": _BlockTerm(_XLOGX, _xlogx, _XLOGX, _xlogx, 0.0, 1, 2.0, _ml_terms),
+    "ml": _BlockTerm(_XLOGX, _xlogx, _xlogx, 0.0, _XLOGX_PAIRS, _xlogx, 0.0, 1, 2.0, _ml_terms),
     # The integrated likelihood: log B(o+1/2, m-o+1/2) / B(1/2, 1/2) over
     # the unordered blocks, whose diagonal counts every pair twice.
-    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5),
+    "icl": _BlockTerm(_LGAMMA_HALF, lambda x: lgam(x + 0.5), lgam_stirling, 0.5,
                       _LGAMMA_INT, lambda x: lgam(x + 1.0), LOG_BETA_HALF, 2, 1.0, _icl_terms),
 }
 
 
 # The block terms subscript the memos first and fill the missing entries
-# only after the KeyError. Membership tests on every call instead made
-# greedy fits at n=200 about 5% slower on 2 vCPUs, and a dict subclass with
-# __missing__ 10-20% slower: subscripting one loses the interpreter's fast
-# path, in search._GreedyState.best_move too. A miss goes straight to
-# _fill, the one copy of the fill rule, which tests membership before it
-# subscripts, so a miss raises one KeyError, not two. A fresh process
-# misses often: ten restarts of a cold n=3000 fit (46k edges) miss about
-# 120k times in one process.
+# only after the KeyError. Membership tests on every call
+# instead made greedy fits at n=200 about 5% slower on 2 vCPUs, and a dict
+# subclass with __missing__ 10-20% slower: subscripting one loses the
+# interpreter's fast path, in search._GreedyState.best_move too. A miss
+# goes straight to _fill, the one copy of the fill rule, which tests
+# membership before it subscripts, so a miss raises one KeyError, not two.
+# An endpoint argument above the bound is never subscripted, so it never
+# raises a KeyError: the kernel computes it inline, and _f sends a block of
+# more than _MEMO_BOUND pairs to _fill. An integer x plus a float shift is
+# float(x) plus the shift, the argument fill_a passes to its scalar.
 def _fill(t, o, m):
-    """Block term of record t after storing any memo entry it lacks."""
-    A, B = t.A, t.B
-    for x in (o, m - o):
-        if x not in A:
+    """Block term of record t after storing any memo entry it lacks; an
+    endpoint argument above _MEMO_BOUND is computed, never stored."""
+    A, B, r = t.A, t.B, m - o
+    for x in (o, r):
+        if x <= _MEMO_BOUND and x not in A:
             A[x] = t.fill_a(float(x))
     if m not in B:
         B[m] = t.fill_b(float(m))
-    return A[o] + A[m - o] - B[m] - t.beta
+    large, shift = t.large_a, t.a_shift
+    return ((A[o] if o <= _MEMO_BOUND else large(o + shift))
+            + (A[r] if r <= _MEMO_BOUND else large(r + shift)) - B[m] - t.beta)
 
 
 def _f(t, o, m):
     """Block term of record t at o endpoints in m pairs; +0.0 for m = 0."""
+    if m > _MEMO_BOUND:
+        return _fill(t, o, m)
     A = t.A
     try:
         return A[o] + A[m - o] - t.B[m] - t.beta

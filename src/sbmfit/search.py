@@ -11,7 +11,9 @@ best_move call that scores every target community: the node's old block
 after the removal is one new term for all targets, and each target adds
 O(k) more, so a visit costs O(k^2) terms; an applied move costs
 O(degree + k) to update the tables. best_move reads the records' memos
-inline and calls modularity._fill on a miss.
+inline and calls modularity._fill on a miss and for every block of more
+than modularity._MEMO_BOUND pairs, whose endpoint terms are computed at
+each use and never stored, so the memos stay bounded at any n.
 
 Greedy search is best-improvement single-node relabeling with random
 restarts, for experiment scale. The restarts of a fit are one _claim_map
@@ -51,8 +53,8 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError, SearchSpaceError
 from .graphs import Labeling, _alpha_fraction, block_counters, meets_min_size, min_feasible_size
-from .modularity import (_BLOCK_TERMS, OBJECTIVES, _f, _fill, _public_blocks, icl_from_counters,
-                         ml_from_counters)
+from .modularity import (_BLOCK_TERMS, _MEMO_BOUND, OBJECTIVES, _f, _fill, _public_blocks,
+                         icl_from_counters, ml_from_counters)
 from .sampling import derive_seed
 
 _EXACT_GUARD = 2 * 10**7
@@ -183,11 +185,12 @@ class _GreedyState:
         self.sizes = np.bincount(z, minlength=k).tolist()
         self.o = o.reshape(k, k).tolist()
         self.table = table.reshape(n, k).tolist()
-        # What best_move reads of the record, as one tuple (apply_move
-        # reads its pair counts too):
+        # What best_move reads of the record, and the memo bound, as one
+        # tuple (apply_move reads its pair counts too):
         # reading the fields one by one made greedy fits at n=200 about 5%
         # slower on 2 vCPUs.
-        self._kernel = (t.A, t.B, t.beta, t.h, t.w, ctx.pairs)
+        self._kernel = (t.A, t.B, t.large_a, t.a_shift, t.beta, t.h, t.w, ctx.pairs,
+                        _MEMO_BOUND)
         self.F = self.block_terms()
 
     def _term(self, a, b):
@@ -216,7 +219,9 @@ class _GreedyState:
 
         d is the node's row of neighbour counts. The terms of the blocks
         after the move are read from the memos inline, and a miss calls
-        _fill, which fills them; the term of block (a, a) after the removal
+        _fill, which fills them; an endpoint argument above _MEMO_BOUND is
+        computed by the record's large_a, never looked up. The term of
+        block (a, a) after the removal
         is the same for every target and is computed once. Each delta is
         summed in a fixed order, so equal counters always give the same
         float. A block with no pairs (m = 0) needs no test: its subscripted
@@ -225,15 +230,17 @@ class _GreedyState:
         modularity.LOG_BETA_HALF (tests/test_cephes.py pins both).
         """
         s, o, F, t = self.sizes, self.o, self.F, self._t
-        A, B, beta, h, w, pairs = self._kernel
+        A, B, large, shift, beta, h, w, pairs, bound = self._kernel
         others = self._others[a]
         sa1 = s[a] - 1
         da = d[a]
         oa, Fa = o[a], F[a]
         best, best_b = -math.inf, -1
         x, m = (oa[a] - 2 * da) // h, pairs[sa1]
+        y = m - x
         try:
-            f = A[x] + A[m - x] - B[m] - beta
+            f = ((A[x] if x <= bound else large(x + shift))
+                 + (A[y] if y <= bound else large(y + shift)) - B[m] - beta)
         except KeyError:
             f = _fill(t, x, m)
         removal = f - Fa[a]
@@ -241,27 +248,35 @@ class _GreedyState:
             sb1, db = s[b] + 1, d[b]
             ob, Fb = o[b], F[b]
             x, m = (ob[b] + 2 * db) // h, pairs[sb1]
+            y = m - x
             try:
-                f = A[x] + A[m - x] - B[m] - beta
+                f = ((A[x] if x <= bound else large(x + shift))
+                     + (A[y] if y <= bound else large(y + shift)) - B[m] - beta)
             except KeyError:
                 f = _fill(t, x, m)
             delta = removal + f - Fb[b]
             x, m = oa[b] + da - db, sa1 * sb1
+            y = m - x
             try:
-                f = A[x] + A[m - x] - B[m] - beta
+                f = ((A[x] if x <= bound else large(x + shift))
+                     + (A[y] if y <= bound else large(y + shift)) - B[m] - beta)
             except KeyError:
                 f = _fill(t, x, m)
             delta += w * (f - Fa[b])
             for c in others[b]:
                 sc, dc = s[c], d[c]
                 x, m = oa[c] - dc, sa1 * sc
+                y = m - x
                 try:
-                    f = A[x] + A[m - x] - B[m] - beta
+                    f = ((A[x] if x <= bound else large(x + shift))
+                         + (A[y] if y <= bound else large(y + shift)) - B[m] - beta)
                 except KeyError:
                     f = _fill(t, x, m)
                 x, m = ob[c] + dc, sb1 * sc
+                y = m - x
                 try:
-                    g = A[x] + A[m - x] - B[m] - beta
+                    g = ((A[x] if x <= bound else large(x + shift))
+                         + (A[y] if y <= bound else large(y + shift)) - B[m] - beta)
                 except KeyError:
                     g = _fill(t, x, m)
                 delta += w * (f - Fa[c] + g - Fb[c])
@@ -283,7 +298,7 @@ class _GreedyState:
         s[b] += 1
         self.z[i] = b
         # Block (b, a) is block (a, b): 2k - 1 distinct terms change.
-        h, pairs = t.h, self._kernel[5]
+        h, pairs = t.h, self._kernel[7]
         for r in (a, b):
             sr, orow, Fr = s[r], o[r], F[r]
             for c in range(k):

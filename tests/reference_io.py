@@ -1,4 +1,5 @@
-"""Reference readers: the per-line int() parsers that sbmfit.io replaced.
+"""Reference readers and writer: the per-line int() parsers and the
+list-join edge-list writer that sbmfit.io replaced.
 
 Each content line is split and parsed with int(), one at a time. On
 files whose fields are ASCII decimal integers that fit in int64, or
@@ -6,7 +7,7 @@ that hold a malformed line, a correct read_edge_list and read_labeling
 return the same values, or raise the same exception type, as these.
 Outside that set the two differ by design: int() also accepts
 underscores and non-ASCII digits, and ends in OverflowError on a value
-beyond int64.
+beyond int64. The writer's bytes are write_edge_list's for every graph.
 """
 
 import warnings
@@ -64,3 +65,11 @@ def reference_read_labeling(path, k=None):
         return Labeling(arr, k)
     except ValueError as exc:
         raise ParameterError(f"invalid labeling in {path!r}: {exc}") from exc
+
+
+def reference_write_edge_list(path, g, k=0):
+    lines = [f"{g.n} {k}"]
+    for i, j in g.edges():
+        lines.append(f"{i + 1} {j + 1}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

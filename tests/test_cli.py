@@ -547,6 +547,10 @@ def test_failed_plot_writes_nothing(tmp_path, monkeypatch):
     (None, ["--n-list", "4"], "flips"),  # the diagnostic's 5 flips on 4 nodes
     ("k = 1\nS = 2.0\nrho = 0.05\n", [], "k >= 2"),
     (None, ["--reps", "0"], "reps"),
+    (None, ["--n-list", "0"], "n >= 2"),
+    (None, ["--n-list=-5"], "n >= 2"),
+    ("k = 2\npi = 0.5, 0.5\nS = 2.0, 1.0\nS = 1.0, 2.0\nrho_mode = log_n_over_n\n",
+     ["--n-list", "0"], "n >= 1"),
 ])
 def test_concentration_diagnostic_refusals_exit_two(tmp_path, capsys, params_text, argv, named):
     if params_text is not None:

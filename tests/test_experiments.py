@@ -76,6 +76,13 @@ class TestSweeps:
             rows = sweep_separation(20, 2, [0.5, 400.0], 1, cfg, base_seed=3)
         assert {r.separation for r in rows} == {0.5}
 
+    @pytest.mark.parametrize("sweep,grid", [(sweep_separation, [400.0]),
+                                            (sweep_sparsity, [5.0])])
+    def test_skip_warning_names_the_caller(self, sweep, grid):
+        with pytest.warns(UserWarning, match="skipping grid point") as record:
+            assert sweep(20, 2, grid, 1, small_cfg(), base_seed=3) == []
+        assert [w.filename for w in record] == [__file__]
+
     def test_summarize(self):
         rows = [
             SweepRow(10, 2, 2.0, 1.0, 0.5, 0.1, 1, "ml", 0.8, 2, 1.0),

@@ -79,6 +79,25 @@ class TestGraph:
             with pytest.raises(ValueError):
                 Graph(len(indptr) - 1, indptr, indices)
 
+    def test_rejects_faults_past_the_first_chunk(self):
+        # The complete graph on 200 nodes stores 39800 entries, three chunks
+        # of 2^14 for the checks; each fault sits in row 150, in the third.
+        g = Graph.from_edges(200, list(itertools.combinations(range(200), 2)))
+        start = int(g.indptr[150])
+        loop, unsorted = g.indices.copy(), g.indices.copy()
+        loop[start + 3] = 150
+        unsorted[start + 3], unsorted[start + 4] = unsorted[start + 4], unsorted[start + 3]
+        # Row 150 loses its neighbour 0: its rows stay sorted, but the
+        # entry (0, 150) has no transpose.
+        lopsided_indptr = g.indptr.copy()
+        lopsided_indptr[151:] -= 1
+        lopsided = np.delete(g.indices, start)
+        for indptr, indices, message in ((g.indptr, loop, "self-loops"),
+                                         (g.indptr, unsorted, "sorted and distinct"),
+                                         (lopsided_indptr, lopsided, "symmetric")):
+            with pytest.raises(ValueError, match=message):
+                Graph(200, indptr, indices)
+
     def test_from_edges_rejects_bad_input(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(0, 3)])

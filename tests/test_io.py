@@ -17,7 +17,8 @@ from sbmfit.io import (
 )
 
 from conftest import random_graph, random_labeling, write_params
-from reference_io import reference_read_edge_list, reference_read_labeling
+from reference_io import (reference_read_edge_list, reference_read_labeling,
+                          reference_write_edge_list)
 
 
 class TestEdgeList:
@@ -29,6 +30,16 @@ class TestEdgeList:
         assert k == 3
         assert g2.n == g.n
         assert g2.edges() == g.edges()
+
+    @pytest.mark.parametrize("n,p", [(5, 0.0), (1, 0.0), (129, 1.0), (400, 0.2)])
+    def test_writer_bytes_equal_reference(self, rng, tmp_path, n, p):
+        # The writer reads 2^14 = 16384 stored entries per chunk: the complete
+        # graph on 129 nodes holds 16512, so a chunk ends inside its last
+        # row, and the 400-node graph about 32k.
+        g = random_graph(rng, n, p=p)
+        write_edge_list(tmp_path / "new.txt", g, k=2)
+        reference_write_edge_list(tmp_path / "old.txt", g, k=2)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
     def test_one_based_in_files(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -240,6 +240,15 @@ class TestGreedy:
                 assert ex.objective_value >= gr.objective_value - 1e-12
 
 
+MEMOS = (ML.A, ML.B, ICL.A, ICL.B)
+
+
+def served_a(t, x):
+    """The endpoint value of record t at x as the kernel reads it: from the
+    memo up to the bound, computed above it."""
+    return t.A[x] if x <= modularity._MEMO_BOUND else t.large_a(x + t.a_shift)
+
+
 class TestTermMemos:
     def test_bit_identical_to_vectorized_ufuncs(self, rng):
         args = np.unique(np.concatenate([
@@ -247,24 +256,71 @@ class TestTermMemos:
             rng.integers(0, 10**8, size=3000),
         ]))
         x = args.astype(float)
-        tables = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
-        saved = [dict(t) for t in tables]
+        saved = [dict(t) for t in MEMOS]
         try:
-            for t in tables:
+            for t in MEMOS:
                 t.clear()
             # _f(t, 0, a) fills the entries 0 and a of x*log(x) and
-            # gammaln(x + 1/2) and the entry a of gammaln(x + 1). args[0] is 0.
+            # gammaln(x + 1/2), a only up to the bound, and the entry a of
+            # x*log(x) and gammaln(x + 1) at pair counts. args[0] is 0.
             for a in args.tolist():
                 modularity._f(ML, 0, a)
                 modularity._f(ICL, 0, a)
-            wants = (xlogy(x, x), gammaln(x + 0.5), gammaln(x + 1.0))
-            for table, want in zip(tables, wants):
-                got = np.array([table[a] for a in args.tolist()])
+            served = (lambda a: served_a(ML, a), lambda a: ML.B[a],
+                      lambda a: served_a(ICL, a), lambda a: ICL.B[a])
+            wants = (xlogy(x, x), xlogy(x, x), gammaln(x + 0.5), gammaln(x + 1.0))
+            for serve, want in zip(served, wants):
+                got = np.array([serve(a) for a in args.tolist()])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
         finally:
-            for t, old in zip(tables, saved):
+            for t, old in zip(MEMOS, saved):
                 t.clear()
                 t.update(old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.integers(modularity._MEMO_BOUND + 1, 10**12),
+                       st.integers(10**8 - 50, 10**8 + 50)),
+           objective=st.sampled_from(["ml", "icl"]), data=st.data())
+    def test_above_bound_equals_fill(self, x, objective, data):
+        # lgam sums fewer Stirling terms above 10^8: x + 1/2 crosses that
+        # switch between x = 10^8 - 1 and 10^8.
+        t = modularity._BLOCK_TERMS[objective]
+        assert t.large_a(x + t.a_shift).hex() == t.fill_a(float(x)).hex()
+        o = data.draw(st.integers(0, x))
+        want = t.fill_a(float(o)) + t.fill_a(float(x - o)) - t.fill_b(float(x)) - t.beta
+        assert modularity._f(t, o, x).hex() == want.hex()
+        assert max(t.A, default=0) <= modularity._MEMO_BOUND
+
+    def test_memos_stay_bounded_after_a_restart_at_scale(self):
+        # n = 2 * 10^4 at rho = log(n)/n from random pairs, not from O(n^2)
+        # sample: 99k edges, so endpoint counts fall on both sides of the
+        # bound, and every non-edge count m - o lies above it. Unbounded,
+        # one k = 3 ML restart stored 356k endpoint entries.
+        n = 2 * 10**4
+        rng = np.random.default_rng(2024)
+        pairs = rng.integers(0, n, size=(int(n * math.log(n) / 2), 2))
+        g = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        saved = [dict(t) for t in MEMOS]
+        try:
+            for k in (2, 3):
+                for objective in ("ml", "icl"):
+                    t = modularity._BLOCK_TERMS[objective]
+                    t.A.clear()
+                    t.B.clear()
+                    greedy_argmax(g, k, SearchConfig(objective=objective, restarts=1, seed=k))
+                    assert len(t.A) <= modularity._MEMO_BOUND + 1
+                    assert max(t.A) <= modularity._MEMO_BOUND
+                    # One pair count per block shape a restart visits: 0.8k
+                    # at k = 2 and 26k at k = 3.
+                    assert len(t.B) <= 2 * n
+        finally:
+            for t, old in zip(MEMOS, saved):
+                t.clear()
+                t.update(old)
+
+    def test_bound_keeps_the_stirling_branch(self):
+        # ICL's large_a is lgam's branch at 1000 and above.
+        assert modularity._MEMO_BOUND >= 1000
 
     def test_xlogx_bit_identical_to_ufunc_over_range(self):
         # Every integer up to 2^21, then a seeded sample up to 10^8; the
@@ -307,8 +363,7 @@ class TestBestMove:
         g = random_graph(rng, n, p=float(rng.uniform(0.0, 1.0)))
         state = _GreedyState(g, k, labels, objective)
         ref = ReferenceGreedyState(g, k, labels, objective)
-        tables = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
-        saved = [dict(t) for t in tables]
+        saved = [dict(t) for t in MEMOS]
         try:
             for i in range(n):
                 a = labels[i]
@@ -317,23 +372,53 @@ class TestBestMove:
                 targets = data.draw(st.permutations([b for b in range(k) if b != a]))
                 targets = targets[:data.draw(st.integers(1, k - 1))]
                 want = reference_best_move(ref, a, d, targets)
-                for t in tables:
+                for t in MEMOS:
                     t.clear()
                 cold = state.best_move(a, d, targets)
                 warm = state.best_move(a, d, targets)
                 # Fill every small argument, 0 included, before the call:
                 # every block then takes the subscript path.
                 small = np.arange(3 * n * n, dtype=float)
-                for t, values in zip(tables, (xlogy(small, small), gammaln(small + 0.5),
-                                              gammaln(small + 1.0))):
+                for t, values in zip(MEMOS, (xlogy(small, small), xlogy(small, small),
+                                             gammaln(small + 0.5), gammaln(small + 1.0))):
                     t.update(enumerate(values.tolist()))
                 filled = state.best_move(a, d, targets)
                 for got in (cold, warm, filled):
                     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
         finally:
-            for t, old in zip(tables, saved):
+            for t, old in zip(MEMOS, saved):
                 t.clear()
                 t.update(old)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("objective", ["ml", "icl"])
+    def test_blocks_above_the_bound_equal_ufunc_deltas(self, k, objective):
+        # One community of about 540 of 600 nodes: its diagonal block holds
+        # more than _MEMO_BOUND pairs for both objectives, so the kernel
+        # computes its endpoint terms. The reference reads every term from
+        # the scipy ufuncs, so no memo or record scalar serves it.
+        rng = np.random.default_rng(600 + k)
+        n = 600
+        g = random_graph(rng, n, p=0.03)
+        labels = np.where(rng.random(n) < 0.9, 0, rng.integers(1, k, size=n))
+        state = _GreedyState(g, k, labels, objective)
+        ref = ReferenceGreedyState(g, k, labels, objective)
+        if objective == "ml":
+            ref._f = lambda o, m: float(xlogy(o, o) + xlogy(m - o, m - o) - xlogy(m, m) - 0.0)
+        else:
+            ref._f = lambda o, m: float(gammaln(o + 0.5) + gammaln(m - o + 0.5)
+                                        - gammaln(m + 1.0) - modularity.LOG_BETA_HALF)
+        ref.F = ref.block_terms()
+        s0 = state.sizes[0]
+        assert s0 * (s0 - 1) // modularity._BLOCK_TERMS[objective].h > modularity._MEMO_BOUND
+        assert state.F == ref.F
+        for i in range(n):
+            a = int(labels[i])
+            d = state.table[i]
+            targets = [b for b in range(k) if b != a]
+            want = reference_best_move(ref, a, d, targets)
+            got = state.best_move(a, d, targets)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
     def test_no_targets(self):
         state = _GreedyState(two_cliques(), 2, [0] * 4 + [1] * 4, "ml")
@@ -741,7 +826,7 @@ class TestExactCaches:
         # the ICL objective sums memoized terms; the search adds nothing more.
         monkeypatch.setattr(search, "_ENUMERATIONS", {})
         monkeypatch.setattr(search, "_TERM_TABLES", {})
-        memos = (modularity._XLOGX, modularity._LGAMMA_HALF, modularity._LGAMMA_INT)
+        memos = MEMOS
         g = Graph.from_edges(600, [(i, i + 1) for i in range(599)])
         cfg = SearchConfig(objective=objective, restarts=1)
         search._scorer(objective)(block_counters(g, Labeling(np.zeros(600, dtype=int), 1)))
